@@ -25,8 +25,8 @@ use ffccd::Scheme;
 use ffccd_bench::report::{git_rev, render_json, validate_schema, Record};
 use ffccd_bench::{header, rule};
 use ffccd_pmem::{Ctx, MachineConfig, PmEngine};
+use ffccd_workloads::campaign::{run, Fault, Plan};
 use ffccd_workloads::driver::{run_mt, DriverConfig, PhaseMix};
-use ffccd_workloads::faults::{run_crash_site_sweep, CrashPlan};
 use ffccd_workloads::par::parallel_map;
 use ffccd_workloads::{LinkedList, Workload};
 
@@ -113,12 +113,17 @@ fn sweep_campaign(jobs: usize, mix: PhaseMix, budget: u64) -> (f64, f64) {
         cfg.pool.machine.seed = seed;
         cfg.defrag.min_live_bytes = 1 << 12;
         let make = move || Box::new(LinkedList::new()) as Box<dyn Workload>;
-        let plan = CrashPlan::new(seed, budget);
+        let plan = Plan {
+            seed,
+            fault: Fault::Site {
+                sites: budget,
+                images: 1,
+            },
+        };
         // Captures landing inside workload setup (tiny-scale sweeps only)
         // can't be classified by the key-set oracle; this benchmark times
         // the sweep, sec7_1 owns the pass/fail campaign.
-        let report = run_crash_site_sweep(&make, scheme, &plan, &cfg);
-        report.captured
+        run(&make, scheme, &plan, &cfg, 1).captured
     })
     .into_iter()
     .sum();

@@ -1,51 +1,41 @@
-//! Replays one crash site from a sweep or adversary failure triple.
+//! Replays one probe printed by a `sec7_1` campaign failure.
 //!
-//! The crash-site sweep (`sec7_1`, section 7.1b) prints failures as
-//! `(seed=0x…, site=N, op=M)`. This tool re-runs that exact crash in
-//! isolation and reports the recovery + validation outcome:
+//! Every campaign failure line starts with a [`ProbeId`]; pass it as the
+//! argument (quoted) to rerun that exact fault in isolation and report the
+//! oracle's verdict:
 //!
 //! ```text
-//! FFCCD_WORKLOAD=LL FFCCD_SCHEME=sfccd FFCCD_SEED=0x517e01 \
-//!     FFCCD_SITE=171687 cargo run --release -p ffccd-bench --bin replay_site
+//! FFCCD_WORKLOAD=LL FFCCD_SCHEME=sfccd cargo run --release -p ffccd-bench \
+//!     --bin replay_site -- '(seed=0x517e01, site=271422, subset=0x0)'
 //! ```
 //!
-//! The adversarial campaign (section 7.1c) prints
-//! `(seed=0x…, site=N, subset=0xM)` triples; set `FFCCD_SUBSET=0xM` to
-//! materialize exactly that maybe-persisted subset at the site before
-//! recovering (without it, the base nothing-persisted image is used).
+//! Every phase parses: mutator-phase sites (`(seed=…, site=N,
+//! subset=0x…)`; a sweep failure has `subset=0x0`), crashes inside
+//! recovery (`(seed=…, site=OUTER/INNER, phase=recovery, subset=0x…)`)
+//! and thread kills (`(seed=…, kill_site=K, victim=V)`).
 //!
-//! The nested campaign (section 7.1d) prints
-//! `(seed=0x…, site=OUTER/INNER, phase=recovery, subset=0xM)` probes: set
-//! `FFCCD_SITE` to the outer site, `FFCCD_RECOVERY_SITE` to the recovery
-//! site, and (optionally) `FFCCD_SUBSET` to the nested mask — the tool
-//! captures the outer image, re-crashes its recovery at the recovery
-//! site, materializes the subset and runs the idempotent-recovery oracle.
+//! `FFCCD_WORKLOAD` names the workload (`LL`, `AVL`, `pmemkv`, `DQ`, …;
+//! default `LL`) and `FFCCD_SCHEME` the scheme
+//! (`espresso|sfccd|ffccd|checklookup`, default `checklookup`). The run
+//! configuration matches the campaign that printed the probe, so the site
+//! ID resolves to the same durability event and the mask to the same
+//! lattice entries.
 //!
-//! The run configuration matches the campaigns', so the site ID resolves
-//! to the same durability event and the mask to the same lattice entries.
+//! Exit codes: 0 = the oracle passes, 1 = it fails, 2 = the site or kill
+//! never fired (wrong seed, workload or configuration), 101 = missing or
+//! malformed probe.
 
-use ffccd::Scheme;
-use ffccd_bench::driver_config;
-use ffccd_workloads::adversary::replay_adversary_subset_full;
-use ffccd_workloads::driver::PhaseMix;
-use ffccd_workloads::faults::replay_crash_site;
-use ffccd_workloads::nested::replay_nested_subset_full;
-use ffccd_workloads::{AvlTree, LinkedList, Pmemkv, Workload};
+use ffccd::{ProbeId, ProbePhase, Scheme};
+use ffccd_bench::workload;
+use ffccd_workloads::campaign::{replay, site_config, thread_kill_config};
 
 fn env(name: &str) -> Option<String> {
     std::env::var(name).ok()
 }
 
-fn parse_u64(s: &str) -> u64 {
-    if let Some(hex) = s.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).expect("hex number")
-    } else {
-        s.parse().expect("number")
-    }
-}
-
 fn main() {
-    let workload = env("FFCCD_WORKLOAD").unwrap_or_else(|| "LL".into());
+    let name = env("FFCCD_WORKLOAD").unwrap_or_else(|| "LL".into());
+    let make = workload(&name).unwrap_or_else(|| panic!("unknown workload {name}"));
     let scheme = match env("FFCCD_SCHEME").as_deref() {
         Some("espresso") => Scheme::Espresso,
         Some("sfccd") => Scheme::Sfccd,
@@ -53,101 +43,30 @@ fn main() {
         None | Some("checklookup") => Scheme::FfccdCheckLookup,
         Some(other) => panic!("unknown scheme {other} (espresso|sfccd|ffccd|checklookup)"),
     };
-    let seed = parse_u64(&env("FFCCD_SEED").expect("set FFCCD_SEED"));
-    let site = parse_u64(&env("FFCCD_SITE").expect("set FFCCD_SITE"));
-
-    let make: Box<dyn Fn() -> Box<dyn Workload>> = match workload.as_str() {
-        "LL" => Box::new(|| Box::new(LinkedList::new())),
-        "AVL" => Box::new(|| Box::new(AvlTree::new())),
-        "pmemkv" => Box::new(|| Box::new(Pmemkv::new())),
-        other => panic!("unknown workload {other} (LL|AVL|pmemkv)"),
+    let probe: ProbeId = std::env::args()
+        .nth(1)
+        .expect("pass the probe a campaign failure printed, e.g. '(seed=0x517e01, site=271422, subset=0x0)'")
+        .parse()
+        .unwrap_or_else(|e| panic!("{e}"));
+    let cfg = match probe.phase {
+        ProbePhase::ThreadKill { .. } => thread_kill_config(scheme, probe.seed),
+        _ => site_config(scheme, probe.seed),
     };
-
-    // Must mirror sec7_1's sweep_campaign configuration exactly.
-    let mut cfg = driver_config(scheme, false, seed);
-    cfg.mix = PhaseMix {
-        init: 1200,
-        phase_ops: 900,
-        phases: 3,
+    println!("replaying {name} / {} {probe}", scheme.label());
+    let Some(r) = replay(&make, scheme, probe, &cfg) else {
+        println!("{probe} never fired — wrong seed, workload or config?");
+        std::process::exit(2);
     };
-    cfg.pool.data_bytes = 8 << 20;
-    cfg.defrag.min_live_bytes = 1 << 12;
-
-    if let Some(rec_site) = env("FFCCD_RECOVERY_SITE").as_deref().map(parse_u64) {
-        let mask = env("FFCCD_SUBSET").as_deref().map(parse_u64).unwrap_or(0);
-        println!(
-            "replaying {workload} / {} seed=0x{seed:x} site={site}/{rec_site} \
-             phase=recovery subset=0x{mask:x}",
-            scheme.label()
-        );
-        match replay_nested_subset_full(&*make, scheme, seed, site, rec_site, mask, &cfg) {
-            None => {
-                println!("site {site}/{rec_site} never fired — wrong seed, workload or config?");
-                std::process::exit(2);
-            }
-            Some(r) => {
-                let (op, maybe_len) = (r.op, r.maybe_len);
-                match r.outcome {
-                    Ok(()) => println!(
-                        "recovery site fired (outer op {op}, nested maybe set {maybe_len}): \
-                         idempotent recovery + validation PASS"
-                    ),
-                    Err(msg) => {
-                        println!(
-                            "recovery site fired (outer op {op}, nested maybe set \
-                             {maybe_len}): FAIL\n  {msg}"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        return;
-    }
-
-    if let Some(mask) = env("FFCCD_SUBSET").as_deref().map(parse_u64) {
-        println!(
-            "replaying {workload} / {} seed=0x{seed:x} site={site} subset=0x{mask:x}",
-            scheme.label()
-        );
-        match replay_adversary_subset_full(&*make, scheme, seed, site, mask, &cfg) {
-            None => {
-                println!("site {site} never fired — wrong seed, workload or config?");
-                std::process::exit(2);
-            }
-            Some(r) => {
-                let (op, maybe_len) = (r.op, r.maybe_len);
-                match r.outcome {
-                    Ok(()) => println!(
-                        "site fired during op {op} (maybe set {maybe_len}): \
-                         recovery + validation PASS"
-                    ),
-                    Err(msg) => {
-                        println!(
-                            "site fired during op {op} (maybe set {maybe_len}): FAIL\n  {msg}"
-                        );
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-        return;
-    }
-
-    println!(
-        "replaying {workload} / {} seed=0x{seed:x} site={site}",
-        scheme.label()
-    );
-    match replay_crash_site(&*make, scheme, seed, site, &cfg) {
-        None => {
-            println!("site {site} never fired — wrong seed, workload or config?");
-            std::process::exit(2);
-        }
-        Some((op, Ok(()))) => {
-            println!("site fired during op {op}: recovery + validation PASS");
-        }
-        Some((op, Err(msg))) => {
-            println!("site fired during op {op}: FAIL\n  {msg}");
+    let site = format!("fired during op {} (maybe set {})", r.op, r.maybe.len());
+    let (fired, oracle) = match probe.phase {
+        ProbePhase::Mutator => (site, "recovery + validation"),
+        ProbePhase::Recovery => (site, "idempotent recovery + validation"),
+        ProbePhase::ThreadKill { .. } => ("kill fired".to_owned(), "survivor checkers + restart"),
+    };
+    match r.outcome {
+        Ok(()) => println!("{fired}: {oracle} PASS"),
+        Err(msg) => {
+            println!("{fired}: FAIL\n  {msg}");
             std::process::exit(1);
         }
     }

@@ -107,6 +107,30 @@ pub fn applications() -> Vec<Box<dyn Workload>> {
     ]
 }
 
+/// A workload constructor, as campaign tables and replays name them.
+pub type Factory = fn() -> Box<dyn Workload>;
+
+/// The constructor of the workload whose [`Workload::name`] is `name`: the
+/// five microbenchmarks, the four applications, or the detectable queue
+/// (`DQ`).
+pub fn workload(name: &str) -> Option<Factory> {
+    use ffccd_workloads::*;
+    let make: Factory = match name {
+        "LL" => || Box::new(LinkedList::new()),
+        "AVL" => || Box::new(AvlTree::new()),
+        "SS" => || Box::new(StringSwap::new()),
+        "BT" => || Box::new(BplusTree::new()),
+        "RBT" => || Box::new(RbTree::new()),
+        "BzTree" => || Box::new(BzTree::new()),
+        "FPTree" => || Box::new(FpTree::new()),
+        "Echo" => || Box::new(Echo::new()),
+        "pmemkv" => || Box::new(Pmemkv::new()),
+        "DQ" => || Box::new(DetectableQueue::new()),
+        _ => return None,
+    };
+    Some(make)
+}
+
 /// Mebibytes, two decimals.
 pub fn mib(bytes: f64) -> f64 {
     bytes / (1024.0 * 1024.0)
@@ -194,6 +218,17 @@ mod tests {
     fn application_names_match_table4() {
         let names: Vec<&str> = applications().iter().map(|w| w.name()).collect();
         assert_eq!(names, ["BzTree", "FPTree", "Echo", "pmemkv"]);
+    }
+
+    #[test]
+    fn workload_factories_build_the_named_workload() {
+        for name in [
+            "LL", "AVL", "SS", "BT", "RBT", "BzTree", "FPTree", "Echo", "pmemkv", "DQ",
+        ] {
+            let make = workload(name).expect("known workload");
+            assert_eq!(make().name(), name);
+        }
+        assert!(workload("nope").is_none());
     }
 
     #[test]

@@ -89,6 +89,11 @@ impl DefragHeap {
             return false;
         }
         let _w = self.inner.world.write();
+        // A racing trigger may have armed a cycle while this one waited
+        // for the world lock; a second summary would re-arm a live domain.
+        if self.in_cycle() {
+            return false;
+        }
         self.engine().note_phase_site(phase_sites::STW_BEGIN);
         let stats = &self.inner.stats;
 

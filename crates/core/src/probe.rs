@@ -1,24 +1,28 @@
-//! Identity of one adversarial persistence probe.
+//! Identity of one crash-campaign probe.
 //!
-//! The adversarial explorer (workloads crate) checks recovery against
-//! *chosen* durability outcomes: at a deterministic crash site it picks a
-//! subset of the maybe-persisted lines and materializes the crash image in
-//! which exactly that subset reached media. A failure is fully
-//! identified, and byte-identically replayable, from the triple recorded
-//! here; recovery/validation failure reports carry it so the offending
-//! subset is never ambiguous.
+//! The crash campaigns (workloads crate) check recovery against *chosen*
+//! faults: at a deterministic crash site they pick a subset of the
+//! maybe-persisted lines and materialize the crash image in which exactly
+//! that subset reached media, crash recovery itself at one of its own
+//! durability events, or kill one mutator thread at a durability-event
+//! ordinal. A failure is fully identified, and byte-identically
+//! replayable, from the probe recorded here; every failure report carries
+//! it, and its [`Display`](fmt::Display) text parses back
+//! ([`FromStr`]) so a printed probe can be pasted into a replay.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// The replayable identity of one explored crash outcome:
-/// `(seed, site_id, subset_bitmask)`.
+/// `(seed, site_id, subset_bitmask, phase)`.
 ///
 /// * `seed` seeds the whole run (machine RNG + target selection), making
 ///   site IDs deterministic;
-/// * `site_id` names the durability event the image was captured at;
+/// * `site_id` names the durability event the image was captured at (the
+///   kill ordinal for thread-kill probes);
 /// * `subset_mask` selects which maybe-persisted lines the materialized
 ///   image contains (bit `i` ⇒ entry `i` of the site's
-///   `ffccd_pmem::MaybeSet` persisted).
+///   `ffccd_pmem::MaybeSet` persisted; always 0 for thread kills).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProbeId {
     /// Machine/plan seed of the run.
@@ -44,6 +48,12 @@ pub enum ProbePhase {
     /// Site fired inside `recover()` running on an outer crash image
     /// (nested crash: the §7.1d campaign).
     Recovery,
+    /// Mutator thread `victim` was killed at its `site_id`-th durability
+    /// event while the other threads drained (the §7.1e campaign).
+    ThreadKill {
+        /// Index of the killed thread.
+        victim: u32,
+    },
 }
 
 impl ProbeId {
@@ -75,20 +85,31 @@ impl ProbeId {
         }
     }
 
+    /// Builds a thread-kill probe: thread `victim` dies at its
+    /// `kill_site`-th durability event.
+    pub fn thread_kill(seed: u64, kill_site: u64, victim: u32) -> Self {
+        ProbeId {
+            seed,
+            site_id: kill_site,
+            subset_mask: 0,
+            phase: ProbePhase::ThreadKill { victim },
+        }
+    }
+
     /// Mutator-phase crash site the recovery ran from (recovery-phase
-    /// probes only; equals `site_id` for mutator probes).
+    /// probes only; equals `site_id` otherwise).
     pub fn outer_site(&self) -> u64 {
         match self.phase {
-            ProbePhase::Mutator => self.site_id,
             ProbePhase::Recovery => self.site_id >> 32,
+            _ => self.site_id,
         }
     }
 
     /// Site within the recovery tracking window (recovery-phase probes).
     pub fn recovery_site(&self) -> u64 {
         match self.phase {
-            ProbePhase::Mutator => 0,
             ProbePhase::Recovery => self.site_id & 0xFFFF_FFFF,
+            _ => 0,
         }
     }
 }
@@ -109,6 +130,64 @@ impl fmt::Display for ProbeId {
                 self.recovery_site(),
                 self.subset_mask
             ),
+            ProbePhase::ThreadKill { victim } => write!(
+                f,
+                "(seed=0x{:x}, kill_site={}, victim={victim})",
+                self.seed, self.site_id
+            ),
+        }
+    }
+}
+
+/// Parses the [`Display`](fmt::Display) form of every phase back into the
+/// probe it names.
+impl FromStr for ProbeId {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        fn num(v: &str) -> Result<u64, String> {
+            match v.strip_prefix("0x") {
+                Some(hex) => u64::from_str_radix(hex, 16),
+                None => v.parse(),
+            }
+            .map_err(|e| format!("bad number {v:?}: {e}"))
+        }
+        let body = s
+            .trim()
+            .strip_prefix('(')
+            .and_then(|b| b.strip_suffix(')'))
+            .ok_or_else(|| format!("probe {s:?} is not parenthesized"))?;
+        let (mut seed, mut site, mut kill, mut victim) = (None, None, None, None);
+        let (mut subset, mut recovery) = (0, false);
+        for field in body.split(", ") {
+            match field.split_once('=') {
+                Some(("seed", v)) => seed = Some(num(v)?),
+                Some(("site", v)) => site = Some(v),
+                Some(("subset", v)) => subset = num(v)?,
+                Some(("phase", "recovery")) => recovery = true,
+                Some(("kill_site", v)) => kill = Some(num(v)?),
+                Some(("victim", v)) => victim = Some(num(v)?),
+                _ => return Err(format!("unknown probe field {field:?}")),
+            }
+        }
+        let seed = seed.ok_or("probe has no seed")?;
+        match (site, kill, victim) {
+            (None, Some(kill), Some(victim)) => {
+                let victim = u32::try_from(victim).map_err(|e| e.to_string())?;
+                Ok(ProbeId::thread_kill(seed, kill, victim))
+            }
+            (Some(site), None, None) if recovery => {
+                let (outer, inner) = site
+                    .split_once('/')
+                    .ok_or("recovery probe site must be OUTER/INNER")?;
+                let (outer, inner) = (num(outer)?, num(inner)?);
+                if outer >= 1 << 32 || inner >= 1 << 32 {
+                    return Err("site ids exceed the 32-bit packing".to_owned());
+                }
+                Ok(ProbeId::nested(seed, outer, inner, subset))
+            }
+            (Some(site), None, None) => Ok(ProbeId::new(seed, num(site)?, subset)),
+            _ => Err(format!("probe {s:?} names neither a site nor a kill")),
         }
     }
 }
@@ -143,5 +222,36 @@ mod tests {
         );
         // Same (outer, inner) numbers in mutator phase are a distinct probe.
         assert_ne!(p, ProbeId::new(0xadfe00, 120_000 << 32 | 37, 0b101));
+    }
+
+    #[test]
+    fn thread_kill_probe_displays_the_kill_triple() {
+        let p = ProbeId::thread_kill(0x7c4a01, 2681, 3);
+        assert_eq!(p.phase, ProbePhase::ThreadKill { victim: 3 });
+        assert_eq!(p.to_string(), "(seed=0x7c4a01, kill_site=2681, victim=3)");
+        assert_eq!(p.outer_site(), 2681);
+        assert_eq!(p.recovery_site(), 0);
+        assert_ne!(p, ProbeId::new(0x7c4a01, 2681, 0));
+    }
+
+    #[test]
+    fn every_phase_parses_back_from_its_display() {
+        for p in [
+            ProbeId::new(0x517e01, 271_422, 0),
+            ProbeId::new(0x517e02, 120_000, u64::MAX),
+            ProbeId::nested(0x9e57ed, 93_273, 60, 0x1),
+            ProbeId::thread_kill(0x7c4a14, 7428, 2),
+        ] {
+            assert_eq!(p.to_string().parse::<ProbeId>(), Ok(p));
+        }
+        for bad in [
+            "seed=0x1, site=2",
+            "(site=2, subset=0x0)",
+            "(seed=0x1, site=2, op=7)",
+            "(seed=0x1, site=5, phase=recovery, subset=0x0)",
+            "(seed=0x1, kill_site=4)",
+        ] {
+            assert!(bad.parse::<ProbeId>().is_err(), "{bad} must not parse");
+        }
     }
 }

@@ -623,3 +623,62 @@ fn recovery_with_fresh_seed_sees_same_data() {
         assert_eq!(list_digest(&heap2, &mut ctx2), digest, "seed {seed}");
     }
 }
+
+/// Regression: racing triggers must arm at most one cycle. `defrag_now`
+/// used to check `in_cycle()` only *before* taking the world write lock,
+/// so two callers that both passed the check while a critical section
+/// held the world off each ran mark, sweep and summary in turn — and the
+/// second re-armed a domain whose cycle was already live, leaving a cycle
+/// armed after `exit()` and references into freed frames.
+#[test]
+fn racing_defrag_now_arms_exactly_once() {
+    let pool_cfg = PoolConfig {
+        data_bytes: 2 << 20,
+        os_page_size: 4096,
+        machine: MachineConfig {
+            seed: 71,
+            ..MachineConfig::default()
+        },
+    };
+    // A small per-cycle page cap leaves evacuable pages behind the first
+    // arm, so a second summary pass would find work on the armed shard.
+    let cfg = DefragConfig {
+        shards: 2,
+        max_pages_per_cycle: 2,
+        ..DefragConfig::normal(Scheme::FfccdFenceFree)
+    };
+    let heap = DefragHeap::create(pool_cfg, registry(), cfg).expect("create sharded heap");
+    let mut ctx = heap.ctx();
+    push_nodes(&heap, &mut ctx, 600);
+    remove_if(&heap, &mut ctx, |v| v % 5 != 0);
+    let digest = list_digest(&heap, &mut ctx);
+    let start = std::sync::Arc::new(std::sync::Barrier::new(3));
+    let racers = heap.critical(|| {
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let (heap, start) = (heap.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    heap.defrag_now(&mut heap.ctx())
+                })
+            })
+            .collect();
+        // Past the barrier each racer only loads `in_cycle()` before it
+        // parks on the world write lock this critical section holds off;
+        // the pause lets both get there. With the locked re-check the
+        // outcome is exact whatever the timing.
+        start.wait();
+        std::thread::sleep(std::time::Duration::from_millis(50));
+        racers
+    });
+    let armed = racers
+        .into_iter()
+        .map(|r| r.join().expect("racer"))
+        .filter(|&armed| armed)
+        .count();
+    assert_eq!(armed, 1, "exactly one racing trigger may arm");
+    heap.exit(&mut ctx);
+    assert!(!heap.in_cycle(), "a cycle is still armed after exit");
+    validate_heap(&heap).expect("consistent after racing triggers");
+    assert_eq!(list_digest(&heap, &mut ctx), digest);
+}

@@ -9,10 +9,11 @@
 //!   (Figure 16);
 //! * the [`driver`] running the paper's insert/delete phase mix while
 //!   pumping concurrent defragmentation and sampling fragmentation;
-//! * the §7.1 [`faults`] fault-injection harness, the [`adversary`]
-//!   explorer that enumerates maybe-persisted subsets at captured crash
-//!   sites, and the [`nested`] explorer that crashes *recovery itself*
-//!   and demands idempotent re-recovery (§7.1d).
+//! * the §7.1 op-boundary [`faults`] injection harness, and the
+//!   [`campaign`] engine behind the §7.1b–e crash campaigns — crash-site
+//!   sweeps, maybe-persisted subset exploration, crashes inside recovery
+//!   and per-thread kills — with one report, one failure type and one
+//!   probe replay.
 //!
 //! Every structure is built strictly on the `ffccd::DefragHeap` public API:
 //! typed allocation, persistent pointers through `load_ref`/`store_ref`
@@ -20,14 +21,11 @@
 
 #![warn(missing_docs)]
 
-pub mod adversary;
+pub mod campaign;
 pub mod driver;
 pub mod faults;
-pub mod nested;
 pub mod par;
 pub mod util;
-
-pub mod thread_crash;
 
 mod avl;
 mod btree;

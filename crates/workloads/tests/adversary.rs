@@ -1,13 +1,11 @@
-//! Adversarial persistence explorer integration tests: exhaustive subset
-//! exploration on a tiny run passes, reports merge identically at every
-//! job count, and subset replays are byte-deterministic from their
-//! `(seed, site_id, subset_bitmask)` triple.
+//! Adversarial persistence exploration integration tests: exhaustive
+//! subset exploration on a tiny run passes, and subset replays are
+//! byte-deterministic from their `(seed, site_id, subset_bitmask)` probe.
+//! (Job-count invariance for every campaign lives in `crash_sites.rs`.)
 
-use ffccd::Scheme;
+use ffccd::{ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
-use ffccd_workloads::adversary::{
-    replay_adversary_subset_full, run_adversary_sweep, run_adversary_sweep_jobs, AdversaryPlan,
-};
+use ffccd_workloads::campaign::{replay, run, Fault, Plan};
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
 use ffccd_workloads::{LinkedList, Workload};
 
@@ -41,8 +39,14 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 fn adversary_explores_lattices_and_all_subsets_recover() {
     let seed = 0xADF_C0DE;
     let cfg = adv_cfg(Scheme::FfccdFenceFree, seed);
-    let plan = AdversaryPlan::new(seed, 8, 64);
-    let report = run_adversary_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
+    let plan = Plan {
+        seed,
+        fault: Fault::Site {
+            sites: 8,
+            images: 64,
+        },
+    };
+    let report = run(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg, 1);
     assert!(report.total_sites > 1000, "got {}", report.total_sites);
     assert_eq!(report.targeted, 8);
     assert_eq!(
@@ -66,87 +70,56 @@ fn adversary_explores_lattices_and_all_subsets_recover() {
         report
             .failures
             .iter()
-            .map(|f| format!(
-                "{} at {} (op {}, maybe {}, minimal={}): {}",
-                f.triple(),
-                f.kind,
-                f.op,
-                f.maybe_len,
-                f.minimal,
-                f.message
-            ))
+            .map(|f| f.to_string())
             .collect::<Vec<_>>()
     );
 }
 
-/// Chunked parallel explorations must merge to exactly the sequential
-/// report: same tallies at every job count (failures sort by site ID and
-/// mask, so they'd compare equal too — this geometry produces none).
-#[test]
-fn adversary_report_is_job_count_invariant() {
-    let seed = 0xADF_C0DE;
-    let cfg = adv_cfg(Scheme::Sfccd, seed);
-    let plan = AdversaryPlan::new(seed, 6, 16);
-    let a = run_adversary_sweep_jobs(&make_ll, Scheme::Sfccd, &plan, &cfg, 1);
-    let b = run_adversary_sweep_jobs(&make_ll, Scheme::Sfccd, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.images, b.images);
-    assert_eq!(a.exhaustive_sites, b.exhaustive_sites);
-    assert_eq!(a.empty_lattices, b.empty_lattices);
-    assert_eq!(a.max_maybe, b.max_maybe);
-    assert!(a.failures.is_empty() && b.failures.is_empty());
-}
-
 /// A subset replay is a pure function of its triple: same firing op, same
 /// materialized image bytes, same outcome on every rerun — and the empty
-/// subset materializes exactly the base image the sweep validates.
+/// subset materializes exactly the base image the sweep validates (pinned
+/// to the fingerprint of the site's raw, never-materialized capture).
 #[test]
 fn subset_replay_is_deterministic_and_mask_zero_is_base_image() {
-    use ffccd_workloads::faults::replay_crash_site_full;
-
     let seed = 0xBEEF;
     let scheme = Scheme::FfccdCheckLookup;
     let cfg = adv_cfg(scheme, seed);
     let site_id = 5000;
 
-    let base = replay_crash_site_full(&make_ll, scheme, seed, site_id, &cfg).expect("site fires");
-    let r0 =
-        replay_adversary_subset_full(&make_ll, scheme, seed, site_id, 0, &cfg).expect("site fires");
-    assert_eq!(r0.op, base.op);
+    let base = replay(&make_ll, scheme, ProbeId::new(seed, site_id, 0), &cfg).expect("site fires");
+    assert_eq!(base.op, 111);
     assert_eq!(
-        fnv1a(r0.image.media().as_bytes()),
-        fnv1a(base.image.media().as_bytes()),
+        fnv1a(base.image.as_ref().unwrap().media().as_bytes()),
+        0x399c_9dad_72e7_0073,
         "mask 0 must materialize the base (nothing-persisted) image"
     );
 
     // A non-empty subset replays byte-identically too.
-    let window = (r0.maybe_len as u32).min(64);
+    let window = base.maybe.window();
     let mask = if window >= 64 {
         u64::MAX
     } else {
         (1u64 << window) - 1
     };
-    let a = replay_adversary_subset_full(&make_ll, scheme, seed, site_id, mask, &cfg)
-        .expect("site fires");
-    let b = replay_adversary_subset_full(&make_ll, scheme, seed, site_id, mask, &cfg)
-        .expect("site fires again");
+    let probe = ProbeId::new(seed, site_id, mask);
+    let a = replay(&make_ll, scheme, probe, &cfg).expect("site fires");
+    let b = replay(&make_ll, scheme, probe, &cfg).expect("site fires again");
     assert_eq!(a.op, b.op);
-    assert_eq!(a.maybe_len, b.maybe_len);
+    assert_eq!(a.op, base.op, "the subset fires during the base image's op");
+    assert_eq!(a.maybe.len(), b.maybe.len());
     assert_eq!(
-        fnv1a(a.image.media().as_bytes()),
-        fnv1a(b.image.media().as_bytes()),
+        fnv1a(a.image.as_ref().unwrap().media().as_bytes()),
+        fnv1a(b.image.as_ref().unwrap().media().as_bytes()),
         "subset image bytes must be reproducible from the triple"
     );
     assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
     assert!(a.outcome.is_ok(), "subset recovery failed: {:?}", a.outcome);
     if mask != 0 {
         assert_ne!(
-            fnv1a(a.image.media().as_bytes()),
-            fnv1a(base.image.media().as_bytes()),
+            fnv1a(a.image.as_ref().unwrap().media().as_bytes()),
+            fnv1a(base.image.as_ref().unwrap().media().as_bytes()),
             "full-window subset must differ from the base image (maybe_len {})",
-            a.maybe_len
+            a.maybe.len()
         );
     }
 }

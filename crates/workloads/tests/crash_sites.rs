@@ -4,16 +4,11 @@
 //! adversarially chosen maybe-persisted subsets and arbitrary post-crash
 //! restart seeds.
 
-use ffccd::{DefragHeap, Scheme};
+use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
-use ffccd_workloads::adversary::replay_adversary_subset_full;
+use ffccd_workloads::campaign::{replay, run, thread_kill_config, Fault, Plan, Report};
 use ffccd_workloads::driver::{DriverConfig, MtConfig, MtSchedule, PhaseMix};
-use ffccd_workloads::faults::{
-    replay_crash_site, replay_crash_site_full, run_crash_site_sweep, run_crash_site_sweep_jobs,
-    CrashPlan,
-};
-use ffccd_workloads::nested::{replay_nested_subset_full, run_nested_crash_sweep_jobs, NestedPlan};
-use ffccd_workloads::{AvlTree, LinkedList, Workload};
+use ffccd_workloads::{AvlTree, DetectableQueue, LinkedList, Workload};
 
 fn sweep_cfg(scheme: Scheme, seed: u64) -> DriverConfig {
     let mut cfg = DriverConfig::new(scheme);
@@ -32,12 +27,23 @@ fn make_ll() -> Box<dyn Workload> {
     Box::new(LinkedList::new())
 }
 
+/// A §7.1b sweep plan: one base image at each of `sites` crash sites.
+fn sweep(seed: u64, sites: u64) -> Plan {
+    Plan {
+        seed,
+        fault: Fault::Site { sites, images: 1 },
+    }
+}
+
+fn failure_lines(report: &Report) -> Vec<String> {
+    report.failures.iter().map(|f| f.to_string()).collect()
+}
+
 #[test]
 fn sweep_validates_every_targeted_site() {
     let seed = 0xC0FFEE;
     let cfg = sweep_cfg(Scheme::FfccdFenceFree, seed);
-    let plan = CrashPlan::new(seed, 12);
-    let report = run_crash_site_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
+    let report = run(&make_ll, Scheme::FfccdFenceFree, &sweep(seed, 12), &cfg, 1);
     assert!(
         report.total_sites > 1000,
         "a tiny run still fires thousands of durability events, got {}",
@@ -51,11 +57,7 @@ fn sweep_validates_every_targeted_site() {
     assert!(
         report.failures.is_empty(),
         "sweep failures: {:#?}",
-        report
-            .failures
-            .iter()
-            .map(|f| format!("{} at {}: {}", f.triple(), f.kind, f.message))
-            .collect::<Vec<_>>()
+        failure_lines(&report)
     );
     assert!(!report.site_counts.is_empty());
 }
@@ -73,8 +75,7 @@ fn sweep_validates_with_fastpath_enabled() {
     ] {
         let mut cfg = sweep_cfg(scheme, seed);
         cfg.defrag.reloc_fastpath = true;
-        let plan = CrashPlan::new(seed, 12);
-        let report = run_crash_site_sweep(&make_ll, scheme, &plan, &cfg);
+        let report = run(&make_ll, scheme, &sweep(seed, 12), &cfg, 1);
         assert_eq!(report.targeted, 12);
         assert_eq!(
             report.captured, report.targeted,
@@ -83,11 +84,7 @@ fn sweep_validates_with_fastpath_enabled() {
         assert!(
             report.failures.is_empty(),
             "{scheme} fastpath sweep failures: {:#?}",
-            report
-                .failures
-                .iter()
-                .map(|f| format!("{} at {}: {}", f.triple(), f.kind, f.message))
-                .collect::<Vec<_>>()
+            failure_lines(&report)
         );
     }
 }
@@ -102,8 +99,7 @@ fn sweep_validates_with_sharded_heap() {
     let seed = 0x5AAD;
     let mut cfg = sweep_cfg(Scheme::FfccdFenceFree, seed);
     cfg.defrag.shards = 4;
-    let plan = CrashPlan::new(seed, 12);
-    let report = run_crash_site_sweep(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg);
+    let report = run(&make_ll, Scheme::FfccdFenceFree, &sweep(seed, 12), &cfg, 1);
     assert_eq!(report.targeted, 12);
     assert_eq!(
         report.captured, report.targeted,
@@ -112,11 +108,7 @@ fn sweep_validates_with_sharded_heap() {
     assert!(
         report.failures.is_empty(),
         "sharded sweep failures: {:#?}",
-        report
-            .failures
-            .iter()
-            .map(|f| format!("{} at {}: {}", f.triple(), f.kind, f.message))
-            .collect::<Vec<_>>()
+        failure_lines(&report)
     );
 }
 
@@ -146,11 +138,13 @@ fn assert_site_recovers(
     site: u64,
 ) {
     let cfg = sec71_cfg(scheme, seed);
-    let (op, res) =
-        replay_crash_site(make, scheme, seed, site, &cfg).expect("regression site must fire");
+    let r =
+        replay(make, scheme, ProbeId::new(seed, site, 0), &cfg).expect("regression site must fire");
     assert!(
-        res.is_ok(),
-        "({seed:#x}, {site}, op {op}) regressed: {res:?}"
+        r.outcome.is_ok(),
+        "({seed:#x}, {site}, op {}) regressed: {:?}",
+        r.op,
+        r.outcome
     );
 }
 
@@ -239,14 +233,14 @@ fn pinned_triples_replay_byte_identically() {
                     counter_flush_every: Some(1),
                 };
             }
-            let r = replay_crash_site_full(make, scheme, seed, site, &cfg)
+            let r = replay(make, scheme, ProbeId::new(seed, site, 0), &cfg)
                 .expect("pinned site must fire");
             assert_eq!(
                 r.op, op,
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: firing op moved"
             );
             assert_eq!(
-                fnv1a(r.image.media().as_bytes()),
+                fnv1a(r.image.as_ref().unwrap().media().as_bytes()),
                 hash,
                 "{name} {scheme:?} ({seed:#x}, {site}) banks={banks} mt={mt_knobs}: crash image bytes moved"
             );
@@ -288,10 +282,11 @@ fn pinned_adversarial_triples_replay_byte_identically() {
     ];
     for (name, make, scheme, seed, site, mask, maybe_len, op, hash) in pinned {
         let cfg = sec71_cfg(scheme, seed);
-        let r = replay_adversary_subset_full(make, scheme, seed, site, mask, &cfg)
+        let r = replay(make, scheme, ProbeId::new(seed, site, mask), &cfg)
             .expect("pinned adversarial site must fire");
         assert_eq!(
-            r.maybe_len, maybe_len,
+            r.maybe.len(),
+            maybe_len,
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): maybe-set size moved"
         );
         assert_eq!(
@@ -299,7 +294,7 @@ fn pinned_adversarial_triples_replay_byte_identically() {
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): firing op moved"
         );
         assert_eq!(
-            fnv1a(r.image.media().as_bytes()),
+            fnv1a(r.image.as_ref().unwrap().media().as_bytes()),
             hash,
             "{name} {scheme:?} ({seed:#x}, {site}, {mask:#x}): subset image bytes moved"
         );
@@ -328,14 +323,14 @@ fn recovery_outcome_is_restart_seed_invariant() {
     ];
     let mut fired = 0;
     for site in sites {
-        let Some(r) = replay_crash_site_full(&make_ll, scheme, seed, site, &cfg) else {
+        let Some(r) = replay(&make_ll, scheme, ProbeId::new(seed, site, 0), &cfg) else {
             continue;
         };
         fired += 1;
         let mut baseline = None;
         for restart_seed in [1u64, 0xDEAD_BEEF, u64::MAX, 0x1234_5678_9ABC_DEF0] {
             let (heap, rec) = DefragHeap::open_recovered_with_seed(
-                &r.image,
+                r.image.as_ref().unwrap(),
                 Some(restart_seed),
                 make_ll().registry(),
                 defrag,
@@ -362,23 +357,64 @@ fn recovery_outcome_is_restart_seed_invariant() {
     assert!(fired >= 8, "only {fired}/10 sampled sites fired");
 }
 
-/// Chunked parallel sweeps must merge to exactly the sequential report:
-/// same tallies at every job count (failure lists are sorted by site ID,
-/// so they'd compare equal too — this geometry produces none).
+/// Chunked parallel campaigns must merge to exactly the sequential report
+/// at every job count — sweep, adversarial, nested and thread-kill alike:
+/// targets split round-robin (kill plans map one per worker), partial
+/// reports merge by sum/max, and failures sort by probe (kills keep plan
+/// order), so the whole report (failures included) compares equal.
 #[test]
-fn sweep_report_is_job_count_invariant() {
-    let seed = 0xC0FFEE;
-    let cfg = sweep_cfg(Scheme::FfccdFenceFree, seed);
-    let plan = CrashPlan::new(seed, 12);
-    let a = run_crash_site_sweep_jobs(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg, 1);
-    let b = run_crash_site_sweep_jobs(&make_ll, Scheme::FfccdFenceFree, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.mid_cycle, b.mid_cycle);
-    assert_eq!(a.recovered_objects, b.recovered_objects);
-    assert_eq!(a.undone_objects, b.undone_objects);
-    assert!(a.failures.is_empty() && b.failures.is_empty());
+fn campaign_report_is_job_count_invariant() {
+    let make_dq = || -> Box<dyn Workload> { Box::new(DetectableQueue::new()) };
+    let site_cases = [
+        (
+            Scheme::FfccdFenceFree,
+            0xC0FFEE,
+            Fault::Site {
+                sites: 12,
+                images: 1,
+            },
+        ),
+        (
+            Scheme::Sfccd,
+            0xADF_C0DE,
+            Fault::Site {
+                sites: 6,
+                images: 16,
+            },
+        ),
+        (
+            Scheme::FfccdFenceFree,
+            0xC0FFEE,
+            Fault::Nested {
+                outer: 4,
+                sites: 2,
+                images: 8,
+            },
+        ),
+    ]
+    .map(|(scheme, seed, fault)| (scheme, seed, fault, sweep_cfg(scheme, seed)));
+    let kill_scheme = Scheme::FfccdFenceFree;
+    let kill_case = (
+        kill_scheme,
+        0x9_5EED,
+        Fault::ThreadKill { kills: 1, runs: 2 },
+        thread_kill_config(kill_scheme, 0x9_5EED),
+    );
+    for (scheme, seed, fault, cfg) in site_cases.into_iter().chain([kill_case]) {
+        let make: &(dyn Fn() -> Box<dyn Workload> + Sync) = match fault {
+            Fault::ThreadKill { .. } => &make_dq,
+            _ => &make_ll,
+        };
+        let plan = Plan { seed, fault };
+        let a = run(make, scheme, &plan, &cfg, 1);
+        let b = run(make, scheme, &plan, &cfg, 3);
+        assert_eq!(a, b, "{fault:?}: report depends on the job count");
+        assert!(a.failures.is_empty(), "{fault:?}: {:?}", failure_lines(&a));
+        assert!(
+            a.captured + a.kills_fired > 0,
+            "{fault:?}: plan must explore something"
+        );
+    }
 }
 
 /// §7.1d regression probes: `(seed, outer_site/recovery_site, phase=recovery,
@@ -414,18 +450,24 @@ fn pinned_nested_triples_replay_byte_identically() {
     ];
     for (name, make, scheme, seed, outer, rec_site, mask, maybe_len, op, hash) in pinned {
         let cfg = sec71_cfg(scheme, seed);
-        let r = replay_nested_subset_full(make, scheme, seed, outer, rec_site, mask, &cfg)
-            .expect("pinned recovery-phase site must fire");
+        let r = replay(
+            make,
+            scheme,
+            ProbeId::nested(seed, outer, rec_site, mask),
+            &cfg,
+        )
+        .expect("pinned recovery-phase site must fire");
         assert_eq!(
             r.op, op,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): outer op moved"
         );
         assert_eq!(
-            r.maybe_len, maybe_len,
+            r.maybe.len(),
+            maybe_len,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): maybe-set size moved"
         );
         assert_eq!(
-            fnv1a(r.image.media().as_bytes()),
+            fnv1a(r.image.as_ref().unwrap().media().as_bytes()),
             hash,
             "{name} {scheme:?} ({seed:#x}, {outer}/{rec_site}, {mask:#x}): nested image bytes moved"
         );
@@ -460,11 +502,15 @@ fn recovery_is_idempotent_at_pinned_sites() {
     ];
     for (make, scheme, seed, site) in cases {
         let cfg = sec71_cfg(scheme, seed);
-        let r = replay_crash_site_full(make, scheme, seed, site, &cfg)
+        let r = replay(make, scheme, ProbeId::new(seed, site, 0), &cfg)
             .expect("regression site must fire");
-        let (heap, rerun) =
-            DefragHeap::open_recovered_idempotent(&r.image, None, make().registry(), cfg.defrag)
-                .expect("recovery must succeed");
+        let (heap, rerun) = DefragHeap::open_recovered_idempotent(
+            r.image.as_ref().unwrap(),
+            None,
+            make().registry(),
+            cfg.defrag,
+        )
+        .expect("recovery must succeed");
         assert!(
             rerun.is_noop(),
             "{scheme:?} ({seed:#x}, {site}): recovery not idempotent — \
@@ -488,11 +534,15 @@ fn recovery_cycles_are_counted_once() {
     let scheme = Scheme::Sfccd;
     let (seed, site) = (0x517e01, 271422);
     let cfg = sec71_cfg(scheme, seed);
-    let r = replay_crash_site_full(&make_ll, scheme, seed, site, &cfg)
+    let r = replay(&make_ll, scheme, ProbeId::new(seed, site, 0), &cfg)
         .expect("regression site must fire");
-    let (heap, rerun) =
-        DefragHeap::open_recovered_idempotent(&r.image, None, make_ll().registry(), cfg.defrag)
-            .expect("recovery must succeed");
+    let (heap, rerun) = DefragHeap::open_recovered_idempotent(
+        r.image.as_ref().unwrap(),
+        None,
+        make_ll().registry(),
+        cfg.defrag,
+    )
+    .expect("recovery must succeed");
     assert!(
         rerun.report.had_cycle,
         "pinned site must crash mid-cycle for this test to bite"
@@ -510,42 +560,11 @@ fn recovery_cycles_are_counted_once() {
         rerun.rerun.cycles
     );
     // The plain (single-recovery) open agrees on the same image.
-    let (heap2, report2) = DefragHeap::open_recovered(&r.image, make_ll().registry(), cfg.defrag)
-        .expect("recovery must succeed");
+    let (heap2, report2) =
+        DefragHeap::open_recovered(r.image.as_ref().unwrap(), make_ll().registry(), cfg.defrag)
+            .expect("recovery must succeed");
     assert_eq!(heap2.gc_stats().recovery_cycles, report2.cycles);
     assert_eq!(report2.cycles, rerun.report.cycles);
-}
-
-/// Chunked nested sweeps must merge to exactly the sequential report at
-/// every job count (outer targets are split round-robin; tallies merge by
-/// summation and failures sort by probe).
-#[test]
-fn nested_sweep_report_is_job_count_invariant() {
-    let seed = 0xC0FFEE;
-    let scheme = Scheme::FfccdFenceFree;
-    let cfg = sweep_cfg(scheme, seed);
-    let plan = NestedPlan::new(seed, 4, 2, 8);
-    let a = run_nested_crash_sweep_jobs(&make_ll, scheme, &plan, &cfg, 1);
-    let b = run_nested_crash_sweep_jobs(&make_ll, scheme, &plan, &cfg, 3);
-    assert_eq!(a.total_sites, b.total_sites);
-    assert_eq!(a.cycle_sites, b.cycle_sites);
-    assert_eq!(a.outer_targeted, b.outer_targeted);
-    assert_eq!(a.outer_captured, b.outer_captured);
-    assert_eq!(a.nested_outer, b.nested_outer);
-    assert_eq!(a.recovery_sites, b.recovery_sites);
-    assert_eq!(a.targeted, b.targeted);
-    assert_eq!(a.captured, b.captured);
-    assert_eq!(a.images, b.images);
-    assert_eq!(a.exhaustive_sites, b.exhaustive_sites);
-    assert_eq!(a.empty_lattices, b.empty_lattices);
-    assert_eq!(a.truncated_lattices, b.truncated_lattices);
-    assert!(
-        a.failures.is_empty() && b.failures.is_empty(),
-        "nested failures: {:?} / {:?}",
-        a.failures.iter().map(|f| f.triple()).collect::<Vec<_>>(),
-        b.failures.iter().map(|f| f.triple()).collect::<Vec<_>>()
-    );
-    assert!(a.outer_captured > 0, "plan must explore something");
 }
 
 #[test]
@@ -554,11 +573,14 @@ fn single_site_replay_is_deterministic() {
     let cfg = sweep_cfg(Scheme::FfccdCheckLookup, seed);
     // Pick a site that fires well into the run.
     let site_id = 5000;
-    let a = replay_crash_site(&make_ll, Scheme::FfccdCheckLookup, seed, site_id, &cfg);
-    let b = replay_crash_site(&make_ll, Scheme::FfccdCheckLookup, seed, site_id, &cfg);
-    let (op_a, res_a) = a.expect("site must fire");
-    let (op_b, res_b) = b.expect("site must fire again");
-    assert_eq!(op_a, op_b, "same site fires during the same op");
-    assert_eq!(res_a.is_ok(), res_b.is_ok());
-    assert!(res_a.is_ok(), "replay validation failed: {res_a:?}");
+    let probe = ProbeId::new(seed, site_id, 0);
+    let a = replay(&make_ll, Scheme::FfccdCheckLookup, probe, &cfg).expect("site must fire");
+    let b = replay(&make_ll, Scheme::FfccdCheckLookup, probe, &cfg).expect("site must fire again");
+    assert_eq!(a.op, b.op, "same site fires during the same op");
+    assert_eq!(a.outcome.is_ok(), b.outcome.is_ok());
+    assert!(
+        a.outcome.is_ok(),
+        "replay validation failed: {:?}",
+        a.outcome
+    );
 }

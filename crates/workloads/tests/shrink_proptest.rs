@@ -9,12 +9,10 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use ffccd::{validate_heap, DefragHeap, Scheme};
+use ffccd::{validate_heap, DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::{CrashImage, MachineConfig, MaybeSet};
-use ffccd_workloads::adversary::shrink_subset;
+use ffccd_workloads::campaign::{replay, shrink_subset};
 use ffccd_workloads::driver::{DriverConfig, PhaseMix};
-use ffccd_workloads::faults::replay_crash_site_full;
-use ffccd_workloads::nested::replay_nested_subset_full;
 use ffccd_workloads::{LinkedList, Workload};
 
 fn make_ll() -> Box<dyn Workload> {
@@ -46,10 +44,11 @@ fn pinned_capture() -> &'static (CrashImage, MaybeSet) {
     static CAPTURE: OnceLock<(CrashImage, MaybeSet)> = OnceLock::new();
     CAPTURE.get_or_init(|| {
         let cfg = sec71_cfg(Scheme::FfccdFenceFree, 0x517e02);
-        let r = replay_crash_site_full(&make_ll, Scheme::FfccdFenceFree, 0x517e02, 120000, &cfg)
-            .expect("pinned site must fire");
+        let probe = ProbeId::new(0x517e02, 120000, 0);
+        let r =
+            replay(&make_ll, Scheme::FfccdFenceFree, probe, &cfg).expect("pinned site must fire");
         assert!(r.maybe.entries().len() >= 64, "lattice shrank");
-        (r.image, r.maybe)
+        (r.image.expect("site replays carry an image"), r.maybe)
     })
 }
 
@@ -176,11 +175,11 @@ proptest! {
         let stepped = mask | (1u64 << bit);
         prop_assume!(stepped != mask);
         let base = image
-            .with_persisted_subset_at(maybe, mask, 0)
+            .with_persisted_subset(maybe, mask)
             .expect("mask is inside the 64-entry window");
         prop_assume!(recovery_passes(&base));
         let next = image
-            .with_persisted_subset_at(maybe, stepped, 0)
+            .with_persisted_subset(maybe, stepped)
             .expect("stepped mask is inside the window");
         prop_assert!(
             recovery_passes(&next),
@@ -202,9 +201,14 @@ fn nested_recovery_is_monotone_on_its_full_lattice() {
     let cfg = sec71_cfg(scheme, seed);
     let mut outcomes = Vec::new();
     for mask in [0u64, 0x1] {
-        let r = replay_nested_subset_full(&make_ll, scheme, seed, outer, rec_site, mask, &cfg)
-            .expect("pinned recovery-phase site must fire");
-        assert_eq!(r.maybe_len, 1, "pinned nested lattice size moved");
+        let r = replay(
+            &make_ll,
+            scheme,
+            ProbeId::nested(seed, outer, rec_site, mask),
+            &cfg,
+        )
+        .expect("pinned recovery-phase site must fire");
+        assert_eq!(r.maybe.len(), 1, "pinned nested lattice size moved");
         outcomes.push(r.outcome.is_ok());
     }
     // Monotonicity: pass(empty) ⇒ pass(full).

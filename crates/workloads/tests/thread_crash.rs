@@ -8,15 +8,13 @@
 //! thread's arena returns to service, and the sharded heap's persisted
 //! shard count survives a victim dying inside the collector.
 
-use ffccd::{DefragHeap, Scheme};
+use ffccd::{DefragHeap, ProbeId, Scheme};
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::PoolConfig;
+use ffccd_workloads::campaign::{replay, run, thread_kill_config, Fault, Plan};
 use ffccd_workloads::driver::{
     mt_registry, run_mt_faulted, run_mt_faulted_on, DriverConfig, MtConfig, MtSchedule, PhaseMix,
     ThreadFaultPlan,
-};
-use ffccd_workloads::thread_crash::{
-    campaign_config, run_thread_crash_campaign, ThreadCrashSettings,
 };
 use ffccd_workloads::{DetectableQueue, LinkedList, Workload};
 
@@ -143,15 +141,20 @@ fn victim_arena_is_retired_and_survivors_drain() {
 /// back clean.
 #[test]
 fn detectable_queue_campaign_cell_is_clean() {
-    let settings = ThreadCrashSettings::smoke(0x9_5EED);
-    let report = run_thread_crash_campaign(&dq, Scheme::FfccdFenceFree, &settings);
+    let seed = 0x9_5EED;
+    let cfg = thread_kill_config(Scheme::FfccdFenceFree, seed);
+    let plan = Plan {
+        seed,
+        fault: Fault::ThreadKill { kills: 1, runs: 2 },
+    };
+    let report = run(&dq, Scheme::FfccdFenceFree, &plan, &cfg, 1);
     assert!(
         report.failures.is_empty(),
         "DQ thread-crash failures: {:?}",
         report
             .failures
             .iter()
-            .map(|f| f.triple())
+            .map(|f| f.to_string())
             .collect::<Vec<_>>()
     );
     assert!(report.kills_fired > 0, "smoke cell must fire kills");
@@ -172,13 +175,13 @@ fn orphaned_summary_residue_is_inert_to_barriers() {
     // The 1-minimal campaign triples that exposed the bug, one per
     // affected fate discipline.
     for (scheme, seed, victim, site) in [
-        (Scheme::Sfccd, 0x7c4a01, 0usize, 2681u64),
+        (Scheme::Sfccd, 0x7c4a01, 0u32, 2681u64),
         (Scheme::Espresso, 0x7c4a00, 0, 11475),
     ] {
-        let cfg = campaign_config(scheme, seed);
-        let plan = ThreadFaultPlan::single(victim, site);
-        let out = run_mt_faulted(&ll, THREADS, &cfg, &plan);
-        assert!(out.victims[0].fired, "{scheme}: pinned kill fires");
+        let cfg = thread_kill_config(scheme, seed);
+        let probe = ProbeId::thread_kill(seed, site, victim);
+        let r = replay(&ll, scheme, probe, &cfg).expect("pinned kill fires");
+        assert!(r.outcome.is_ok(), "{scheme} {probe}: {:?}", r.outcome);
     }
 }
 
@@ -191,7 +194,7 @@ fn orphaned_summary_residue_is_inert_to_barriers() {
 /// checks header-derived spans).
 #[test]
 fn allocation_torn_by_thread_death_is_rolled_back() {
-    let cfg = campaign_config(Scheme::FfccdCheckLookup, 0x7c4a14);
+    let cfg = thread_kill_config(Scheme::FfccdCheckLookup, 0x7c4a14);
     let plan = ThreadFaultPlan::single(2, 7428);
     let out = run_mt_faulted(&dq, THREADS, &cfg, &plan);
     let v = &out.victims[0];
