@@ -32,7 +32,7 @@ fn setup_unit(pmftlb_entries: usize) -> (PmEngine, CheckLookupUnit, Vec<u64>, Gc
         entries.push(e);
     }
     let unit = CheckLookupUnit::new(pmft);
-    unit.begin_cycle(&engine, BASE, &entries, false);
+    unit.begin_cycle(&engine, BASE, &entries);
     (engine, unit, reloc, meta)
 }
 

@@ -17,6 +17,11 @@ use ffccd_pmop::{
 use crate::config::{DefragConfig, Scheme};
 use crate::stats::{gc_counter, GcStats, GcStatsSnapshot};
 
+/// Relocation-lock stripes the §4.5 first-touch critical section is
+/// sharded over (see [`HeapInner::reloc_locks`]). A host-side locking
+/// choice only: cycle accounting does not depend on it.
+const RELOC_STRIPES: usize = 64;
+
 /// State of one in-flight defragmentation cycle (driver bookkeeping only —
 /// lookups live in [`CycleMirror`]). Clonable so cycle termination can work
 /// from a snapshot and leave the shared state in place until the teardown
@@ -37,8 +42,11 @@ pub(crate) struct CycleState {
 /// driver on the cycle mutex. Built once at summary, discarded at
 /// termination; the per-frame unmoved counts are the only mutable state.
 pub(crate) struct CycleMirror {
-    /// PMFT entry per relocation frame, indexed by frame number.
-    entries: Vec<Option<PmftEntry>>,
+    /// PMFT entry per relocation frame, indexed by frame number. Boxed so
+    /// the dense index stays one word per frame: inline, each 280-byte
+    /// entry would make every cycle allocate and fill megabytes (4.4 MiB
+    /// for a 64 MiB pool) for the handful of frames it relocates.
+    entries: Vec<Option<Box<PmftEntry>>>,
     /// Relocation frames feeding each destination frame, indexed by the
     /// destination frame number (the SFCCD store-mirror scans these).
     by_dest: Vec<Vec<u64>>,
@@ -50,13 +58,13 @@ pub(crate) struct CycleMirror {
 impl CycleMirror {
     /// Builds the mirror from `(reloc_frame, entry, object_count)` items.
     pub fn new(num_frames: usize, items: Vec<(u64, PmftEntry, usize)>) -> Self {
-        let mut entries: Vec<Option<PmftEntry>> = vec![None; num_frames];
+        let mut entries: Vec<Option<Box<PmftEntry>>> = vec![None; num_frames];
         let mut by_dest: Vec<Vec<u64>> = vec![Vec::new(); num_frames];
         let remaining: Vec<AtomicUsize> = (0..num_frames).map(|_| AtomicUsize::new(0)).collect();
         for (frame, entry, count) in items {
             by_dest[entry.dest_frame as usize].push(frame);
             remaining[frame as usize].store(count, Ordering::Relaxed);
-            entries[frame as usize] = Some(entry);
+            entries[frame as usize] = Some(Box::new(entry));
         }
         CycleMirror {
             entries,
@@ -67,7 +75,7 @@ impl CycleMirror {
 
     /// The PMFT entry for relocation frame `frame`.
     pub fn entry(&self, frame: u64) -> Option<&PmftEntry> {
-        self.entries.get(frame as usize).and_then(|e| e.as_ref())
+        self.entries.get(frame as usize).and_then(|e| e.as_deref())
     }
 
     /// Relocation frames whose objects land in destination frame `dest`.
@@ -138,7 +146,7 @@ pub(crate) struct HeapInner {
     /// byte — objects sharing a bitmap byte share a stripe, keeping the
     /// read-modify-write of that byte exclusive — and the `moved`-bit
     /// double-check under the stripe preserves exactly-once relocation.
-    pub reloc_stripes: Box<[Mutex<()>]>,
+    pub reloc_locks: Box<[Mutex<()>]>,
     /// Threads currently registered as mutators ([`DefragHeap::register_mutator`]).
     /// When exactly one mutator is registered, first-touch relocation skips
     /// the stripe lock entirely (there is nobody to race) — a pure host-side
@@ -147,10 +155,10 @@ pub(crate) struct HeapInner {
     /// Guards the *decision* to skip the stripe lock against concurrent
     /// registration: `mutators` only changes under the write side, and the
     /// bypass reads the count under a read guard held across the whole
-    /// unlocked batch. Without it, a thread could observe `mutators == 1`,
-    /// start an unlocked frame-wide batch, and race a second mutator that
-    /// registered in between and is batching under stripe locks —
-    /// double-relocating byte-sharing siblings.
+    /// unlocked relocation. Without it, a thread could observe
+    /// `mutators == 1`, start an unlocked relocation, and race a second
+    /// mutator that registered in between and relocates the same object
+    /// under its stripe lock — relocating it twice.
     pub mutator_gate: RwLock<()>,
     pub stats: Arc<GcStats>,
     /// `stats` as a counter sink (same allocation), pre-coerced once so the
@@ -373,9 +381,7 @@ impl DefragHeap {
             .then(|| CheckLookupUnit::new(pmft));
         let stats = Arc::new(GcStats::default());
         let stats_sink: Arc<dyn CounterSink> = stats.clone();
-        let reloc_stripes: Box<[Mutex<()>]> = (0..cfg.reloc_stripes.max(1))
-            .map(|_| Mutex::new(()))
-            .collect();
+        let reloc_locks: Box<[Mutex<()>]> = (0..RELOC_STRIPES).map(|_| Mutex::new(())).collect();
         // The pool's persisted shard count wins over the config: a heap
         // reopened from media created at a different `shards` must honor
         // the on-media frame ownership.
@@ -401,7 +407,7 @@ impl DefragHeap {
                 active_cycles: AtomicUsize::new(0),
                 pump_cursor: AtomicUsize::new(0),
                 mutator_gate: RwLock::new(()),
-                reloc_stripes,
+                reloc_locks,
                 mutators: AtomicUsize::new(0),
                 stats,
                 stats_sink,
@@ -814,19 +820,6 @@ impl DefragHeap {
                         dest_frame,
                         dest_slot,
                     } => Some((dest_frame, dest_slot)),
-                    // Clean-lookup fast path: the unit's volatile moved
-                    // mirror proved the relocation already happened, so the
-                    // barrier redirects without re-reading the moved bitmap
-                    // or entering the relocation critical section at all.
-                    LookupResult::AlreadyMoved {
-                        dest_frame,
-                        dest_slot,
-                    } => {
-                        self.bump(ctx, gc_counter::CHECK_LOOKUP_CYCLES, ctx.cycles() - t0);
-                        let new_hdr = inner.pool.layout().frame_start(dest_frame)
-                            + dest_slot as u64 * SLOT_BYTES;
-                        return PmPtr::new(ptr.pool_id(), new_hdr + OBJ_HEADER_BYTES);
-                    }
                 }
             }
             _ => {
@@ -882,13 +875,12 @@ impl DefragHeap {
         self.ensure_relocated_inner(ctx, frame, slot, dest_frame, dest_slot, true);
     }
 
-    /// [`Self::ensure_relocated`] with the mirror-driven paths (batched
-    /// relocation, progressive release) switchable off. Cycle termination
-    /// passes `use_mirror = false`: it drains single-object so the
-    /// termination op stream matches the pre-mirror behaviour even though
-    /// the mirror now stays published until the teardown completes (a
-    /// mid-termination thread crash needs it live for re-entry and for the
-    /// surviving mutators' barriers).
+    /// [`Self::ensure_relocated`] with progressive release switchable off.
+    /// Cycle termination passes `use_mirror = false`: the termination op
+    /// stream matches the pre-mirror behaviour even though the mirror now
+    /// stays published until the teardown completes (a mid-termination
+    /// thread crash needs it live for re-entry and for the surviving
+    /// mutators' barriers).
     pub(crate) fn ensure_relocated_inner(
         &self,
         ctx: &mut Ctx,
@@ -912,32 +904,18 @@ impl DefragHeap {
         // race — but the simulated double-check sequence still runs, so
         // cycle accounting is identical with and without the bypass. The
         // count is read (and, when bypassing, stays pinned) under the
-        // `mutator_gate` read guard: a second mutator registering mid-batch
-        // blocks on the write side until the unlocked batch finishes, so
-        // "single" can never go stale while the stripe lock is skipped.
+        // `mutator_gate` read guard: a second mutator registering mid-copy
+        // blocks on the write side until the unlocked relocation finishes,
+        // so "single" can never go stale while the stripe lock is skipped.
         let gate = inner.mutator_gate.read();
         let single = inner.mutators.load(Ordering::Acquire) == 1;
         let _gate = single.then_some(gate);
-        let _g = (!single).then(|| inner.reloc_stripes[self.stripe_of(frame, slot)].lock());
+        let _g = (!single).then(|| inner.reloc_locks[Self::stripe_of(frame, slot)].lock());
         if self.read_moved(ctx, frame, slot) {
             self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
             return;
         }
         self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t0);
-
-        // Batched relocation (fast path): carry every pending sibling that
-        // shares this critical section, coalescing the per-object moved-bit
-        // persists into one. Falls back to single-object relocation when no
-        // mirror entry is available or the caller (`finish_cycle`) asked
-        // for the single-object drain.
-        if use_mirror && inner.cfg.reloc_fastpath {
-            if let Some(m) = self.mirror_for(frame) {
-                if let Some(e) = m.entry(frame) {
-                    self.relocate_batch(ctx, &m, e, frame, slot, single);
-                    return;
-                }
-            }
-        }
 
         let src = inner.pool.layout().frame_start(frame) + slot as u64 * SLOT_BYTES;
         let dst = inner.pool.layout().frame_start(dest_frame) + dest_slot as u64 * SLOT_BYTES;
@@ -949,7 +927,6 @@ impl DefragHeap {
         self.write_moved(ctx, frame, slot);
         self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t2);
         self.bump(ctx, gc_counter::OBJECTS_RELOCATED, 1);
-        self.note_clu_moved(frame, slot);
 
         // Progressive release (§5): once every object of the source frame
         // has moved, the frame stops counting toward the footprint — the
@@ -967,7 +944,7 @@ impl DefragHeap {
     }
 
     /// `find_object_size(*x)` plus the scheme's copy discipline (the body
-    /// of Figures 6, 7 and 9) — shared by single and batched relocation.
+    /// of Figures 6, 7 and 9).
     fn relocate_copy(&self, ctx: &mut Ctx, src: u64, dst: u64) {
         // Header word of the source object.
         let word = self.engine().read_u64(ctx, src);
@@ -1000,144 +977,14 @@ impl DefragHeap {
         self.bump(ctx, gc_counter::COPY_CYCLES, ctx.cycles() - t1);
     }
 
-    /// The batch path's copy: same per-scheme discipline as
-    /// [`DefragHeap::relocate_copy`], but the header's cacheline is read
-    /// exactly once — the size is parsed from the line-tail read instead of
-    /// a separate header-word load that re-touches the same line. One
-    /// cache-hit charge cheaper per object than the unbatched sequence,
-    /// which is why it only runs under `reloc_fastpath` (the fast path is
-    /// allowed to change simulated accounting; the default path is not).
-    fn relocate_copy_batched(&self, ctx: &mut Ctx, src: u64, dst: u64) {
-        use ffccd_pmem::CACHELINE_BYTES;
-        let first = (CACHELINE_BYTES - src % CACHELINE_BYTES) as usize;
-        let mut buf = ctx.take_buf(first.max(SLOT_BYTES as usize * 256));
-        self.engine().read(ctx, src, &mut buf[..first]);
-        let word = u64::from_le_bytes(buf[..8].try_into().expect("8-byte header word"));
-        let total = ((word & 0xFFFF_FFFF) + OBJ_HEADER_BYTES) as usize;
-
-        let t1 = ctx.cycles();
-        if total > first {
-            self.engine()
-                .read(ctx, src + first as u64, &mut buf[first..total]);
-        }
-        match self.inner.cfg.scheme {
-            Scheme::Baseline => unreachable!("baseline never relocates"),
-            Scheme::Espresso => {
-                self.engine().write(ctx, dst, &buf[..total]);
-                self.engine().persist(ctx, dst, total as u64);
-            }
-            Scheme::Sfccd => {
-                self.engine().write(ctx, dst, &buf[..total]);
-                for line in ffccd_pmem::lines_spanning(dst, total as u64) {
-                    self.engine().clwb(ctx, line.start());
-                }
-            }
-            Scheme::FfccdFenceFree | Scheme::FfccdCheckLookup => {
-                // One relocate instruction: objects never cross their frame.
-                ctx.stats.relocates += 1;
-                ctx.charge(self.engine().config().rbb_latency);
-                self.engine().write_pending(ctx, dst, &buf[..total]);
-            }
-        }
-        ctx.put_buf(buf);
-        self.bump(ctx, gc_counter::COPY_CYCLES, ctx.cycles() - t1);
-    }
-
-    /// Batched first-touch relocation (`reloc_fastpath`): relocates, in one
-    /// critical-section entry, every pending object sharing the triggering
-    /// object's moved-bitmap byte — or the whole frame when `frame_wide`
-    /// (single-mutator bypass; no stripe is held, so only the sole mutator
-    /// may widen past its stripe's byte). The per-object moved-bit RMW
-    /// persists coalesce into one read and one write/persist of the covered
-    /// bytes. Exactly-once: each slot's bit is checked from the just-read
-    /// byte inside the critical section before its copy runs.
-    fn relocate_batch(
-        &self,
-        ctx: &mut Ctx,
-        m: &CycleMirror,
-        e: &PmftEntry,
-        frame: u64,
-        slot: usize,
-        frame_wide: bool,
-    ) {
-        let inner = &*self.inner;
-        let layout = *inner.pool.layout();
-        let moved_base = inner.meta.moved_bitmap(frame);
-        let (first_byte, nbytes) = if frame_wide {
-            (0u64, Self::SLOTS_PER_FRAME / 8)
-        } else {
-            (slot as u64 / 8, 1)
-        };
-        // One read of the covered moved-bitmap bytes for the whole batch.
-        let buf = self
-            .engine()
-            .read_pooled(ctx, moved_base + first_byte, nbytes as u64);
-        let mut bytes = [0u8; 32];
-        bytes[..nbytes].copy_from_slice(&buf);
-        ctx.put_buf(buf);
-
-        let mut newly: Vec<usize> = Vec::new();
-        for s in first_byte as usize * 8..(first_byte as usize + nbytes) * 8 {
-            let b = s / 8 - first_byte as usize;
-            if bytes[b] >> (s % 8) & 1 == 1 {
-                continue; // already moved (double-check inside the section)
-            }
-            let Some(d) = e.lookup(s) else { continue };
-            let src = layout.frame_start(frame) + s as u64 * SLOT_BYTES;
-            let dst = layout.frame_start(e.dest_frame) + d as u64 * SLOT_BYTES;
-            self.relocate_copy_batched(ctx, src, dst);
-            bytes[b] |= 1 << (s % 8);
-            newly.push(s);
-        }
-        debug_assert!(
-            newly.contains(&slot),
-            "the triggering object must be part of its own batch"
-        );
-
-        // One moved-bits write + one persist-discipline application.
-        let t2 = ctx.cycles();
-        self.engine()
-            .write(ctx, moved_base + first_byte, &bytes[..nbytes]);
-        match inner.cfg.scheme {
-            Scheme::Espresso | Scheme::Sfccd => {
-                for line in ffccd_pmem::lines_spanning(moved_base + first_byte, nbytes as u64) {
-                    self.engine().clwb(ctx, line.start());
-                }
-                self.engine().sfence(ctx);
-            }
-            Scheme::FfccdFenceFree | Scheme::FfccdCheckLookup => {}
-            Scheme::Baseline => unreachable!("baseline never relocates"),
-        }
-        self.bump(ctx, gc_counter::STATE_CYCLES, ctx.cycles() - t2);
-        self.bump(ctx, gc_counter::OBJECTS_RELOCATED, newly.len() as u64);
-        for &s in &newly {
-            self.note_clu_moved(frame, s);
-            if m.note_moved(frame) {
-                inner.pool.evacuate_frame(frame);
-            }
-        }
-    }
-
-    /// Mirrors a completed relocation into the checklookup unit's volatile
-    /// moved mirror so later barriers on the object resolve lock-free
-    /// (fast-path cycles only; no-op otherwise).
-    fn note_clu_moved(&self, frame: u64, slot: usize) {
-        if self.inner.cfg.reloc_fastpath {
-            if let Some(clu) = &self.inner.clu {
-                clu.note_moved(frame, slot);
-            }
-        }
-    }
-
     /// Relocation-lock stripe for the object at `(frame, slot)`, keyed by
     /// the object's moved-bitmap *byte* so the byte's read-modify-write in
     /// [`DefragHeap::write_moved`] stays exclusive.
-    fn stripe_of(&self, frame: u64, slot: usize) -> usize {
-        let n = self.inner.reloc_stripes.len() as u64;
+    fn stripe_of(frame: u64, slot: usize) -> usize {
         let key = frame
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add((slot as u64 / 8).wrapping_mul(0xc2b2_ae3d_27d4_eb4f));
-        (key % n) as usize
+        (key % RELOC_STRIPES as u64) as usize
     }
 
     /// Reads the moved bit for (frame, slot).

@@ -352,14 +352,7 @@ impl DefragHeap {
         }
         if let Some(clu) = &inner.clu {
             let entries: Vec<PmftEntry> = mirror_items.iter().map(|(_, e, _)| e.clone()).collect();
-            clu.begin_cycle_shard(
-                engine,
-                pool.base(),
-                &entries,
-                inner.cfg.reloc_fastpath,
-                shard,
-                nshards,
-            );
+            clu.begin_cycle_shard(engine, pool.base(), &entries, shard, nshards);
         }
         // Mirror first, then cycle state, then the domain flag, then the
         // global active count barrier paths key on — so any thread seeing

@@ -1,14 +1,13 @@
-//! Batched first-touch relocation (`reloc_fastpath`) correctness: the
-//! batch must relocate every object exactly once — under a lone mutator
-//! (frame-wide batches, stripe lock bypassed) and under free-running
-//! mutator threads racing `ensure_relocated` on slots that share a
-//! moved-bitmap byte (byte-wide batches under the stripe lock).
+//! First-touch relocation correctness: free-running mutator threads
+//! racing `ensure_relocated` on slots that share a moved-bitmap byte (so
+//! they contend on one relocation stripe) must relocate every object
+//! exactly once, and per-shard cycles must stay inside their shard.
 //!
 //! Exactly-once is observable from the outside: `objects_relocated` is
-//! bumped once per slot a batch claims, so a double relocation inflates
-//! the counter above the single-threaded default-path ground truth for
-//! the same heap, and a lost relocation (or a copy racing a reference
-//! fixup) corrupts the list digest or the validator.
+//! bumped once per relocation, so a double relocation inflates the
+//! counter above the single-threaded ground truth for the same heap, and
+//! a lost relocation (or a copy racing a reference fixup) corrupts the
+//! list digest or the validator.
 
 use std::sync::Arc;
 
@@ -28,7 +27,7 @@ fn registry() -> TypeRegistry {
     reg
 }
 
-fn heap_with(scheme: Scheme, seed: u64, fastpath: bool) -> DefragHeap {
+fn heap_with(scheme: Scheme, seed: u64) -> DefragHeap {
     let pool_cfg = PoolConfig {
         data_bytes: 2 << 20,
         os_page_size: 4096,
@@ -37,19 +36,15 @@ fn heap_with(scheme: Scheme, seed: u64, fastpath: bool) -> DefragHeap {
             ..MachineConfig::default()
         },
     };
-    let cfg = DefragConfig {
-        reloc_fastpath: fastpath,
-        ..DefragConfig::normal(scheme)
-    };
-    DefragHeap::create(pool_cfg, registry(), cfg).expect("create heap")
+    DefragHeap::create(pool_cfg, registry(), DefragConfig::normal(scheme)).expect("create heap")
 }
 
 /// Builds a fragmented armed heap: insert `n`, keep every `keep`-th, arm a
 /// cycle. Adjacent survivors sit 5 slots apart within a frame, so distinct
-/// live objects share moved-bitmap bytes — the byte-wide batch always has
-/// siblings to carry.
-fn armed(scheme: Scheme, seed: u64, fastpath: bool, n: u64) -> (DefragHeap, (u64, u64)) {
-    let heap = heap_with(scheme, seed, fastpath);
+/// live objects share moved-bitmap bytes — and with them a relocation
+/// stripe.
+fn armed(scheme: Scheme, seed: u64, n: u64) -> (DefragHeap, (u64, u64)) {
+    let heap = heap_with(scheme, seed);
     let mut ctx = heap.ctx();
     for i in 0..n {
         let node = heap
@@ -100,28 +95,29 @@ fn walk_digest(heap: &DefragHeap, ctx: &mut Ctx) -> (u64, u64) {
     (sum, count)
 }
 
-/// Ground truth: the single-threaded, default-path (unbatched, stripe-
-/// locked) walk of the same heap geometry. Returns (digest, relocated).
-fn default_path_walk(scheme: Scheme, seed: u64, n: u64) -> ((u64, u64), u64) {
-    let (heap, digest) = armed(scheme, seed, false, n);
+/// Ground truth: the single-threaded walk of the same heap geometry.
+/// Returns (digest, relocated).
+fn single_thread_walk(scheme: Scheme, seed: u64, n: u64) -> ((u64, u64), u64) {
+    let (heap, digest) = armed(scheme, seed, n);
     let mut ctx = heap.ctx();
     let walked = walk_digest(&heap, &mut ctx);
-    assert_eq!(walked, digest, "default-path walk must preserve the list");
+    assert_eq!(walked, digest, "single-thread walk must preserve the list");
     while heap.step_compaction(&mut ctx, 4) {}
     heap.flush_stats(&mut ctx);
     (digest, heap.gc_stats().objects_relocated)
 }
 
-/// `threads` free-running walkers race the whole list through the barrier
-/// on a fastpath heap; returns the relocation count afterwards.
-fn racing_fastpath_walk(
+/// `threads` free-running walkers, each a registered mutator (so first
+/// touches take the stripe locks), race the whole list through the
+/// barrier; returns the relocation count afterwards.
+fn racing_walk(
     scheme: Scheme,
     seed: u64,
     n: u64,
     threads: usize,
     expect_digest: (u64, u64),
 ) -> u64 {
-    let (heap, digest) = armed(scheme, seed, true, n);
+    let (heap, digest) = armed(scheme, seed, n);
     assert_eq!(digest, expect_digest, "same geometry as the ground truth");
     let heap = Arc::new(heap);
     let handles: Vec<_> = (0..threads)
@@ -147,7 +143,7 @@ fn racing_fastpath_walk(
     // are skipped by the double-checked moved bits — and tear down), then
     // the whole heap must validate.
     while heap.step_compaction(&mut ctx, 4) {}
-    validate_heap(&heap).expect("heap validates after racing batched relocation");
+    validate_heap(&heap).expect("heap validates after racing relocation");
     heap.flush_stats(&mut ctx);
     heap.gc_stats().objects_relocated
 }
@@ -156,39 +152,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Racing mutators over byte-sharing slots relocate each object
-    /// exactly once: the batched count matches the unbatched single-
-    /// threaded ground truth (batches only widen to *pending* siblings,
-    /// and every live object is on the walked list).
+    /// exactly once: the count matches the single-threaded ground truth
+    /// (every live object is on the walked list).
     #[test]
-    fn batched_relocation_is_exactly_once_under_races(
+    fn racing_first_touch_is_exactly_once(
         seed in 0u64..1 << 48,
         threads in 2usize..=4,
         n in 400u64..=700,
         scheme_idx in 0usize..3,
     ) {
         let scheme = [Scheme::Sfccd, Scheme::FfccdFenceFree, Scheme::FfccdCheckLookup][scheme_idx];
-        let (digest, expected) = default_path_walk(scheme, seed, n);
+        let (digest, expected) = single_thread_walk(scheme, seed, n);
         prop_assert!(expected > 0, "the walk must relocate something");
-        let got = racing_fastpath_walk(scheme, seed, n, threads, digest);
-        prop_assert_eq!(got, expected, "{} objects relocated on the default path", expected);
-    }
-}
-
-/// The lone-mutator bypass takes the frame-wide batch (no stripe held);
-/// it must relocate the same object set as the default path too.
-#[test]
-fn frame_wide_batch_matches_default_path_counts() {
-    for scheme in [
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ] {
-        let (digest, expected) = default_path_walk(scheme, 7, 600);
-        let got = racing_fastpath_walk(scheme, 7, 600, 1, digest);
-        assert_eq!(
-            got, expected,
-            "{scheme}: frame-wide batch over-/under-relocated"
-        );
+        let got = racing_walk(scheme, seed, n, threads, digest);
+        prop_assert_eq!(got, expected, "{} objects relocated single-threaded", expected);
     }
 }
 
@@ -229,7 +206,6 @@ fn armed_sharded(
     };
     let cfg = DefragConfig {
         shards,
-        reloc_fastpath: true,
         ..DefragConfig::normal(scheme)
     };
     let heap = DefragHeap::create(pool_cfg, sharded_registry(), cfg).expect("create sharded heap");
@@ -404,7 +380,6 @@ fn sharded_mid_cycle_crash_recovers_idempotently() {
         let image = heap.engine().crash_image();
         let cfg = DefragConfig {
             shards: 4,
-            reloc_fastpath: true,
             ..DefragConfig::normal(scheme)
         };
         let (rec, rerun) =
@@ -425,31 +400,4 @@ fn sharded_mid_cycle_crash_recovers_idempotently() {
         validate_heap(&rec).unwrap_or_else(|e| panic!("{scheme}: recovered heap invalid: {e:?}"));
         rec.pool().assert_shard_ownership();
     }
-}
-
-/// The clean-lookup fast path must actually fire under the checklookup
-/// scheme: once a batch relocates a byte's worth of siblings, their later
-/// first touches resolve from the CLU's volatile moved mirror without
-/// entering the critical section.
-#[test]
-fn clean_lookup_fast_path_fires_for_checklookup() {
-    let (heap, digest) = armed(Scheme::FfccdCheckLookup, 11, true, 600);
-    let _mutator = heap.register_mutator();
-    let mut ctx = heap.ctx();
-    let walked = walk_digest(&heap, &mut ctx);
-    assert_eq!(walked, digest);
-    assert!(
-        ctx.stats.barrier_fastpath_hits > 0,
-        "sibling barriers must resolve via the CLU moved mirror"
-    );
-    // Non-checklookup schemes have no CLU: the counter stays zero.
-    let (heap, digest) = armed(Scheme::Sfccd, 11, true, 600);
-    let _mutator = heap.register_mutator();
-    let mut ctx = heap.ctx();
-    let walked = walk_digest(&heap, &mut ctx);
-    assert_eq!(walked, digest);
-    assert_eq!(
-        ctx.stats.barrier_fastpath_hits, 0,
-        "sfccd has no clean-lookup unit"
-    );
 }

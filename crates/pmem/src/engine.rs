@@ -8,8 +8,7 @@
 //! behind its own reader-writer lock. Writes, fills and evictions take a
 //! bank exclusively; clean resident-line *reads* — the read barrier's
 //! dominant case — are served under a **shared** bank acquisition
-//! ([`MachineConfig::shared_reads`], multi-bank engines only), falling back
-//! to the exclusive path on a miss. Media stays behind a single `RwLock` — the
+//! (multi-bank engines only), falling back to the exclusive path on a miss. Media stays behind a single `RwLock` — the
 //! persistence observer (FFCCD's Reached Bitmap Buffer) reads and writes
 //! reached-bitmap words at arbitrary media offsets when a pending line
 //! drains, so line-sharding media would force cross-bank locking on every
@@ -257,7 +256,7 @@ impl PmEngine {
         // shared bank lock. Restricted to multi-bank engines: the
         // single-bank deterministic mode keeps the one-lock-end-to-end
         // event order crash-site tracking replays against.
-        if self.nbanks > 1 && ctx.dirty_banks == 0 && self.cfg.shared_reads {
+        if self.nbanks > 1 && ctx.dirty_banks == 0 {
             self.read_shared(ctx, off, buf);
             return;
         }
@@ -1374,20 +1373,20 @@ mod banked_tests {
 
     /// The shared-read fast path must charge exactly the cycles (and count
     /// exactly the hits/misses) the exclusive path does, only taking shared
-    /// instead of exclusive bank locks — and it must actually engage.
+    /// instead of exclusive bank locks — and it must actually engage. The
+    /// exclusive side is the same 8-bank engine read through the
+    /// `dirty_banks != 0` fallback, with nothing in flight to retire.
     #[test]
     fn shared_read_path_matches_exclusive_accounting() {
         let run = |shared: bool| {
-            let cfg = MachineConfig {
-                banks: 8,
-                shared_reads: shared,
-                ..MachineConfig::default()
-            };
-            let e = PmEngine::new(cfg, 1 << 20);
+            let e = engine_with(8);
             let mut ctx = Ctx::new(e.config());
             let data: Vec<u8> = (0..4096u32).map(|i| i as u8).collect();
             e.write(&mut ctx, 0, &data);
             e.persist(&mut ctx, 0, 4096);
+            if !shared {
+                ctx.dirty_banks = 1;
+            }
             let c0 = ctx.cycles();
             let s0 = ctx.stats;
             // Resident re-reads (hits) plus a cold region (misses), with

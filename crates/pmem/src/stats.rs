@@ -36,10 +36,9 @@ pub struct ThreadStats {
     /// lock-light read fast path); a subset of `cache_hits`. Purely a
     /// host-side contention metric — it never affects cycle accounting.
     pub shared_line_reads: u64,
-    /// Relocation barriers resolved by the clean-lookup fast path (the
-    /// checklookup unit proved the object already moved, or batched
-    /// relocation had already carried it) without taking a relocation
-    /// stripe lock or re-reading the moved bitmap.
+    /// Always 0: the batched first-touch fast path that counted here was
+    /// removed. Kept because the benchmark reports it
+    /// (`arch.fastpath_hits_per_op`); removing it is a benchmark change.
     pub barrier_fastpath_hits: u64,
 }
 

@@ -80,12 +80,6 @@ pub struct MachineConfig {
     /// tracking accepts. Multi-threaded throughput runs opt into more banks
     /// explicitly (see [`MachineConfig::resolved_banks`]).
     pub banks: usize,
-    /// Serve clean resident-line reads under a *shared* bank acquisition on
-    /// multi-bank engines (single-bank deterministic mode always uses the
-    /// exclusive path). Purely a host-side locking choice — cycle charges
-    /// and hit/miss classification are identical either way — so it is on
-    /// by default; benchmarks turn it off to measure the before/after.
-    pub shared_reads: bool,
     /// eADR platform: the persistence domain extends over the whole cache
     /// hierarchy, so dirty cache lines survive power failure (paper §4.4
     /// weighs this against FFCCD's RBB: eADR needs ~300 mm³ of battery to
@@ -123,7 +117,6 @@ impl Default for MachineConfig {
             bloom_filter_bytes: 1024,
             seed: 0x5eed_f0cc_d000_0001,
             banks: 0,
-            shared_reads: true,
             eadr: false,
         }
     }

@@ -62,33 +62,6 @@ fn sweep_validates_every_targeted_site() {
     assert!(!report.site_counts.is_empty());
 }
 
-/// `reloc_fastpath` legitimately changes the persist stream (batched
-/// moved-bit RMWs, one-pass copies), so the pinned fingerprints below
-/// stay recorded against the default path — but crash consistency must
-/// hold on the batched stream too: every targeted site must capture and
-/// recovery must validate, for both a fence-free and a checklookup heap.
-#[test]
-fn sweep_validates_with_fastpath_enabled() {
-    for (scheme, seed) in [
-        (Scheme::FfccdFenceFree, 0xFA_5711_u64),
-        (Scheme::FfccdCheckLookup, 0xFA_5712),
-    ] {
-        let mut cfg = sweep_cfg(scheme, seed);
-        cfg.defrag.reloc_fastpath = true;
-        let report = run(&make_ll, scheme, &sweep(seed, 12), &cfg, 1);
-        assert_eq!(report.targeted, 12);
-        assert_eq!(
-            report.captured, report.targeted,
-            "{scheme}: every targeted site must fire under the fastpath too"
-        );
-        assert!(
-            report.failures.is_empty(),
-            "{scheme} fastpath sweep failures: {:#?}",
-            failure_lines(&report)
-        );
-    }
-}
-
 /// The full crash-site sweep over a 4-shard heap: per-shard cycle headers
 /// land at `cycle_header + 16*shard` and the pool header carries
 /// `HDR_SHARDS = 4`, so every captured image exercises the sharded

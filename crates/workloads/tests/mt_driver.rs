@@ -255,44 +255,6 @@ fn free_running_threads_overlap_op_windows() {
     );
 }
 
-/// `reloc_fastpath` legitimately changes *cycle accounting* (batched
-/// moved-bit persists, one-pass header reads), but it must conserve the
-/// relocation invariants: the same barriers fire and every object is
-/// relocated exactly once, so the fixed-seed single-thread counts match
-/// the default path's pinned values exactly.
-#[test]
-fn fastpath_conserves_relocation_invariants() {
-    for scheme in [
-        Scheme::Sfccd,
-        Scheme::FfccdFenceFree,
-        Scheme::FfccdCheckLookup,
-    ] {
-        let mut cfg = tiny_cfg(scheme);
-        cfg.defrag.reloc_fastpath = true;
-        let r = run(&mut LinkedList::new(), &cfg);
-        assert_eq!(
-            r.gc.barrier_invocations, 26,
-            "{scheme}: barrier invocations"
-        );
-        assert_eq!(r.gc.objects_relocated, 257, "{scheme}: objects relocated");
-    }
-}
-
-/// Free-running mutators over a fastpath heap: batches race on shared
-/// moved-bitmap bytes and the driver's per-shard checker must still pass.
-#[test]
-fn free_running_mt_passes_with_fastpath() {
-    for threads in [2usize, 4] {
-        let mut cfg = tiny_cfg(Scheme::FfccdCheckLookup);
-        cfg.defrag.reloc_fastpath = true;
-        cfg.mt.schedule = MtSchedule::Free;
-        let r = run_mt(&|| Box::new(LinkedList::new()), threads, &cfg);
-        assert_eq!(r.ops, 1300 / threads as u64 * threads as u64);
-        assert!(r.gc.barrier_invocations > 0, "barriers fired");
-        assert!(r.gc.objects_relocated > 0, "relocations happened");
-    }
-}
-
 /// Free-running thread-crash round: one of four racing mutators dies at an
 /// early durability-event ordinal while the survivors keep racing — no
 /// turn scheduler, so every interleaving of the death against the other
