@@ -6,13 +6,11 @@
 //! run inherits keeps growing, and throughput declines with it — the
 //! paper's motivating observation.
 
-use std::collections::BTreeSet;
-
 use ffccd::{DefragConfig, DefragHeap};
 use ffccd_bench::{header, rule, scale, HUGE_PAGE_SIM};
 use ffccd_pmem::MachineConfig;
 use ffccd_pmop::{PmPool, PoolConfig};
-use ffccd_workloads::util::KeyGen;
+use ffccd_workloads::util::{KeyGen, LiveKeys};
 use ffccd_workloads::{Echo, Workload};
 
 struct RunStats {
@@ -25,7 +23,7 @@ fn churn(
     heap: &DefragHeap,
     w: &mut Echo,
     keys: &mut KeyGen,
-    live: &mut BTreeSet<u64>,
+    live: &mut LiveKeys,
     inserts: usize,
     deletes: usize,
 ) -> RunStats {
@@ -37,7 +35,7 @@ fn churn(
             let k = keys.fresh();
             w.insert(heap, ctx, k, 128);
             live.insert(k);
-        } else if let Some(k) = keys.pick(live) {
+        } else if let Some(k) = keys.pick_live(live) {
             w.delete(heap, ctx, k);
             live.remove(&k);
         }
@@ -74,7 +72,7 @@ fn three_runs(page: u64, label: &str) {
     let mut ctx = heap.ctx();
     w.setup(&heap, &mut ctx);
     let mut keys = KeyGen::new(0xF161);
-    let mut live = BTreeSet::new();
+    let mut live = LiveKeys::new();
     // Initial population.
     for _ in 0..n {
         let k = keys.fresh();

@@ -35,13 +35,33 @@ pub struct CacheSim {
     entries: Vec<(Line, CacheLine)>,
     capacity: usize,
     rng: u64,
-    /// Count of dirty residents, maintained incrementally so
-    /// [`CacheSim::evict_random_dirty`] can bail out in O(1) when there is
-    /// nothing to write back — the probe loop otherwise walks the whole
-    /// dense vector on a mostly-clean cache (it fires on ~1/`evict_denom`
-    /// stores, and tens of thousands of clean entries made that walk a
-    /// dominant host cost on write-heavy paths).
+    /// Count of dirty residents (the number of set bits in `dirty_bits`).
     dirty_count: usize,
+    /// Dirty-position bitmap: bit `i % 64` of word `i / 64` is set iff
+    /// `entries[i]` is dirty; bits at positions `>= entries.len()` are
+    /// clear. Background eviction and [`CacheSim::dirty_lines`] find dirty
+    /// residents by scanning words, not the mostly-clean entry vector.
+    dirty_bits: Vec<u64>,
+}
+
+/// Sets or clears bit `i` of a dirty-position bitmap.
+fn set_bit(bits: &mut [u64], i: usize, on: bool) {
+    let mask = 1u64 << (i % 64);
+    if on {
+        bits[i / 64] |= mask;
+    } else {
+        bits[i / 64] &= !mask;
+    }
+}
+
+/// One xorshift64* step: advances `state` and returns the next output.
+fn xorshift64star(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x >> 12;
+    x ^= x << 25;
+    x ^= x >> 27;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
 }
 
 /// A line evicted from the cache, headed for the WPQ (if dirty).
@@ -66,6 +86,7 @@ impl CacheSim {
             capacity: capacity.max(1),
             rng: seed | 1,
             dirty_count: 0,
+            dirty_bits: Vec::new(),
         }
     }
 
@@ -74,26 +95,35 @@ impl CacheSim {
         self.capacity
     }
 
-    /// Removes `line`, fixing up the index entry displaced by swap-remove.
-    fn remove(&mut self, line: Line) -> Option<CacheLine> {
-        let i = self.index.remove(&line)?;
-        let (_, cl) = self.entries.swap_remove(i);
+    /// Removes the resident at position `i`. Swap-remove moves the last
+    /// entry into `i`, so its index entry and dirty bit move with it.
+    fn remove_at(&mut self, i: usize) -> (Line, CacheLine) {
+        let (line, cl) = self.entries.swap_remove(i);
+        self.index.remove(&line);
         if cl.dirty {
             self.dirty_count -= 1;
         }
-        if let Some((moved, _)) = self.entries.get(i) {
+        set_bit(&mut self.dirty_bits, self.entries.len(), false);
+        if let Some((moved, moved_cl)) = self.entries.get(i) {
             self.index.insert(*moved, i);
+            set_bit(&mut self.dirty_bits, i, moved_cl.dirty);
         }
-        Some(cl)
+        (line, cl)
+    }
+
+    /// First dirty position at or after `from`, if any.
+    fn first_dirty_from(&self, from: usize) -> Option<usize> {
+        let mut w = from / 64;
+        let mut bits = self.dirty_bits.get(w)? & (!0u64 << (from % 64));
+        while bits == 0 {
+            w += 1;
+            bits = *self.dirty_bits.get(w)?;
+        }
+        Some(w * 64 + bits.trailing_zeros() as usize)
     }
 
     fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        xorshift64star(&mut self.rng)
     }
 
     /// Number of lines currently resident.
@@ -133,6 +163,7 @@ impl CacheSim {
         cl.data[offset_in_line..offset_in_line + data.len()].copy_from_slice(data);
         if !cl.dirty {
             self.dirty_count += 1;
+            set_bit(&mut self.dirty_bits, pos, true);
         }
         cl.dirty = true;
         cl.pending |= pending;
@@ -150,6 +181,9 @@ impl CacheSim {
         debug_assert!(!self.index.contains_key(&line));
         self.make_room(evicted_out);
         let pos = self.entries.len();
+        if pos / 64 == self.dirty_bits.len() {
+            self.dirty_bits.push(0);
+        }
         self.index.insert(line, pos);
         self.entries.push((
             line,
@@ -215,6 +249,7 @@ impl CacheSim {
         cl.data[offset_in_line..offset_in_line + data.len()].copy_from_slice(data);
         if !cl.dirty {
             self.dirty_count += 1;
+            set_bit(&mut self.dirty_bits, i, true);
         }
         cl.dirty = true;
         cl.pending |= pending;
@@ -248,34 +283,31 @@ impl CacheSim {
         cl.dirty = false;
         cl.pending = false;
         self.dirty_count -= 1;
+        set_bit(&mut self.dirty_bits, i, false);
         Some(ev)
     }
 
     /// Evicts one pseudo-random *dirty* line if any exists (the background
     /// "natural writeback" path). Returns the evicted line.
+    ///
+    /// The victim is the first dirty resident at or after a pseudo-random
+    /// start position, wrapping once to the front. Every call on a
+    /// non-empty cache consumes exactly one rng step, dirty line or not.
     pub fn evict_random_dirty(&mut self) -> Option<Evicted> {
         if self.entries.is_empty() {
             return None;
         }
+        let start = (self.next_rand() as usize) % self.entries.len();
         if self.dirty_count == 0 {
-            // The probe would walk every entry and find nothing. It would
-            // still have consumed one rng step picking its start, so the
-            // shortcut must consume it too to keep victim selection
-            // byte-identical with the scanning version.
-            self.next_rand();
             return None;
         }
-        // Probe the dense entry vector from a pseudo-random start, wrapping
-        // once; the first dirty line found is the victim.
-        let n = self.entries.len();
-        let start = (self.next_rand() as usize) % n;
-        let key = (0..n)
-            .map(|k| &self.entries[(start + k) % n])
-            .find(|(_, v)| v.dirty)
-            .map(|(k, _)| *k)?;
-        let cl = self.remove(key).expect("key just found");
+        let pos = self
+            .first_dirty_from(start)
+            .or_else(|| self.first_dirty_from(0))
+            .expect("dirty_count > 0 means a dirty bit is set");
+        let (line, cl) = self.remove_at(pos);
         Some(Evicted {
-            line: key,
+            line,
             data: cl.data,
             dirty: true,
             pending: cl.pending,
@@ -286,8 +318,7 @@ impl CacheSim {
         while self.entries.len() >= self.capacity {
             let n = self.entries.len();
             let victim = (self.next_rand() as usize) % n;
-            let key = self.entries[victim].0;
-            let cl = self.remove(key).expect("victim is resident");
+            let (key, cl) = self.remove_at(victim);
             if cl.dirty {
                 evicted_out.push(Evicted {
                     line: key,
@@ -304,21 +335,37 @@ impl CacheSim {
         self.index.clear();
         self.entries.clear();
         self.dirty_count = 0;
+        self.dirty_bits.clear();
     }
 
-    /// Iterates over all resident dirty lines (used by non-destructive crash
-    /// snapshots to know what *not* to persist).
+    /// Iterates over all resident dirty lines in ascending position order
+    /// (used by non-destructive crash snapshots to know what *not* to
+    /// persist). Walks the dirty bitmap, so clean residents cost nothing.
     pub fn dirty_lines(&self) -> impl Iterator<Item = (Line, &CacheLine)> {
-        self.entries
+        self.dirty_bits
             .iter()
-            .filter(|(_, v)| v.dirty)
-            .map(|(k, v)| (*k, v))
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut bits = word;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * 64 + b
+                    })
+                })
+            })
+            .map(|i| {
+                let (line, cl) = &self.entries[i];
+                (*line, cl)
+            })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn media() -> Media {
         Media::new(64 * 256)
@@ -443,6 +490,119 @@ mod tests {
         c.write_resident(Line(0), 0, &[4], false);
         c.invalidate_all();
         assert_eq!(c.dirty_count, 0);
+    }
+
+    /// The victim the linear probe that predates the dirty bitmap would
+    /// pick from `c`'s current rng state: walk the entry vector from a
+    /// pseudo-random start, wrapping once, to the first dirty line.
+    fn linear_probe_victim(c: &CacheSim) -> Option<Line> {
+        let n = c.entries.len();
+        if n == 0 {
+            return None;
+        }
+        let mut rng = c.rng;
+        let start = (xorshift64star(&mut rng) as usize) % n;
+        (0..n)
+            .map(|k| &c.entries[(start + k) % n])
+            .find(|(_, v)| v.dirty)
+            .map(|(k, _)| *k)
+    }
+
+    /// The bitmap, `dirty_count`, the entries' dirty flags and the index
+    /// all agree, and `dirty_lines` lists dirty residents by position.
+    fn assert_consistent(c: &CacheSim) {
+        let n = c.entries.len();
+        let bit = |i: usize| c.dirty_bits[i / 64] >> (i % 64) & 1 == 1;
+        assert_eq!(c.index.len(), n);
+        for (i, (line, cl)) in c.entries.iter().enumerate() {
+            assert_eq!(c.index.get(line), Some(&i));
+            assert_eq!(bit(i), cl.dirty, "bit {i}");
+        }
+        for i in n..c.dirty_bits.len() * 64 {
+            assert!(!bit(i), "stale bit {i}");
+        }
+        let ones: u32 = c.dirty_bits.iter().map(|w| w.count_ones()).sum();
+        assert_eq!(ones as usize, c.dirty_count);
+        let by_scan: Vec<Line> = c
+            .entries
+            .iter()
+            .filter(|(_, v)| v.dirty)
+            .map(|(k, _)| *k)
+            .collect();
+        let by_bitmap: Vec<Line> = c.dirty_lines().map(|(k, _)| k).collect();
+        assert_eq!(by_bitmap, by_scan);
+    }
+
+    #[derive(Clone, Debug)]
+    enum Step {
+        Touch(u64),
+        Write(u64, bool),
+        Clean(u64),
+        BackgroundEvict,
+        Invalidate,
+    }
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        // Lines span more than two bitmap words; invalidation is rare so
+        // caches fill up and capacity eviction runs.
+        prop_oneof![
+            30 => (0u64..300).prop_map(Step::Touch),
+            30 => (0u64..300, any::<bool>()).prop_map(|(l, p)| Step::Write(l, p)),
+            20 => (0u64..300).prop_map(Step::Clean),
+            20 => Just(Step::BackgroundEvict),
+            1 => Just(Step::Invalidate),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// After every step the dirty bookkeeping agrees with the entries,
+        /// and every background eviction takes the linear probe's victim
+        /// and consumes the same rng step.
+        #[test]
+        fn bitmap_tracks_entries_and_evicts_like_linear_probe(
+            capacity in 1usize..200,
+            seed in any::<u64>(),
+            steps in proptest::collection::vec(step_strategy(), 1..600),
+        ) {
+            let m = Media::new(64 * 300);
+            let mut c = CacheSim::new(capacity, seed);
+            let mut ev = Vec::new();
+            for step in &steps {
+                match *step {
+                    Step::Touch(l) => {
+                        c.touch(Line(l), &m, &mut ev);
+                    }
+                    Step::Write(l, pending) => {
+                        if let Some(pos) = c.pos_of(Line(l)) {
+                            c.write_at(pos, 0, &[l as u8], pending);
+                        } else {
+                            let pos = c.insert_at(Line(l), m.read_line(Line(l)), &mut ev);
+                            c.write_resident(Line(l), 1, &[l as u8], pending);
+                            prop_assert_eq!(c.pos_of(Line(l)), Some(pos));
+                        }
+                    }
+                    Step::Clean(l) => {
+                        let was = c.peek(Line(l)).is_some_and(|cl| cl.dirty);
+                        prop_assert_eq!(c.clean(Line(l)).is_some(), was);
+                    }
+                    Step::BackgroundEvict => {
+                        let expect = linear_probe_victim(&c);
+                        let mut rng = c.rng;
+                        if !c.is_empty() {
+                            xorshift64star(&mut rng);
+                        }
+                        let got = c.evict_random_dirty().map(|e| e.line);
+                        prop_assert_eq!(got, expect);
+                        prop_assert_eq!(c.rng, rng);
+                    }
+                    Step::Invalidate => c.invalidate_all(),
+                }
+                ev.clear();
+                assert_consistent(&c);
+            }
+        }
     }
 
     #[test]

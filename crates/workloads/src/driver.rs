@@ -14,7 +14,7 @@ use ffccd::{validate_heap, DefragConfig, DefragHeap, GcStatsSnapshot, Scheme};
 use ffccd_pmem::{MachineConfig, ThreadCrashArm, ThreadCrashUnwind, THREAD_CRASH_OBSERVE};
 use ffccd_pmop::{PmPtr, PoolConfig, TypeDesc, TypeId, TypeRegistry};
 
-use crate::util::KeyGen;
+use crate::util::{KeyGen, LiveKeys};
 use crate::workload::Workload;
 
 /// The §6 op mix: `init` insertions, then `phases` alternating phases
@@ -573,7 +573,7 @@ fn run_mt_impl(
             }
             let armed = arm.is_some();
             let mut keys = KeyGen::new(seed);
-            let mut live: BTreeSet<u64> = BTreeSet::new();
+            let mut live = LiveKeys::new();
             let mut oplog: Vec<OpRecord> = Vec::with_capacity(per_thread_ops);
             let mut samples: Vec<Sample> = Vec::new();
             let mut died: Option<VictimReport> = None;
@@ -625,7 +625,7 @@ fn run_mt_impl(
                     let vs = keys.value_size(value_size.0, value_size.1);
                     Some((true, k, vs))
                 } else {
-                    keys.pick(&live).map(|k| (false, k, 0))
+                    keys.pick_live(&live).map(|k| (false, k, 0))
                 };
                 let logged_before = oplog.len();
                 let caught = {
@@ -745,7 +745,7 @@ fn run_mt_impl(
             ThreadOutcome {
                 app_cycles: if died.is_some() { 0 } else { ctx.cycles() },
                 gc_cycles: if died.is_some() { 0 } else { gc_ctx.cycles() },
-                live,
+                live: live.into_set(),
                 oplog,
                 samples,
                 died,
@@ -1053,7 +1053,7 @@ pub fn run_on(
     let mut app_ctx = heap.ctx();
     let mut gc_ctx = heap.ctx();
     let mut keys = KeyGen::new(cfg.seed);
-    let mut live: BTreeSet<u64> = BTreeSet::new();
+    let mut live = LiveKeys::new();
     let mut samples = Vec::new();
     let mut latencies: Vec<u64> = Vec::new();
     let mut op_index = 0u64;
@@ -1065,7 +1065,7 @@ pub fn run_on(
                  app_ctx: &mut ffccd_pmem::Ctx,
                  gc_ctx: &mut ffccd_pmem::Ctx,
                  keys: &mut KeyGen,
-                 live: &mut BTreeSet<u64>,
+                 live: &mut LiveKeys,
                  samples: &mut Vec<Sample>,
                  latencies: &mut Vec<u64>,
                  op_index: &mut u64,
@@ -1077,7 +1077,7 @@ pub fn run_on(
             let vs = keys.value_size(cfg.value_size.0, cfg.value_size.1);
             workload.insert(heap, app_ctx, k, vs);
             live.insert(k);
-        } else if let Some(k) = keys.pick(live) {
+        } else if let Some(k) = keys.pick_live(live) {
             let was = workload.delete(heap, app_ctx, k);
             debug_assert!(was, "driver only deletes live keys");
             live.remove(&k);
@@ -1100,7 +1100,7 @@ pub fn run_on(
             });
         }
         match hook {
-            Some(h) => h(*op_index, heap, live),
+            Some(h) => h(*op_index, heap, live.as_set()),
             None => true,
         }
     };

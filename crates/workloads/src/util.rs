@@ -1,5 +1,7 @@
 //! Key/value generation helpers shared by the workloads and the driver.
 
+use std::collections::BTreeSet;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -35,13 +37,22 @@ impl KeyGen {
     }
 
     /// Picks a pseudo-random element of `live` (for deletes); `None` when
-    /// empty.
-    pub fn pick(&mut self, live: &std::collections::BTreeSet<u64>) -> Option<u64> {
-        if live.is_empty() {
-            return None;
-        }
-        let idx = self.rng.gen_range(0..live.len());
+    /// empty. Walks the set to the chosen rank; hot loops keep their keys
+    /// in a [`LiveKeys`] and use [`KeyGen::pick_live`] instead.
+    pub fn pick(&mut self, live: &BTreeSet<u64>) -> Option<u64> {
+        let idx = self.pick_rank(live.len())?;
         live.iter().nth(idx).copied()
+    }
+
+    /// [`KeyGen::pick`] over a [`LiveKeys`]: draws the same rank from the
+    /// stream, so it returns the same key as `pick` on the same set.
+    pub fn pick_live(&mut self, live: &LiveKeys) -> Option<u64> {
+        let idx = self.pick_rank(live.len())?;
+        live.nth(idx)
+    }
+
+    fn pick_rank(&mut self, len: usize) -> Option<usize> {
+        (len > 0).then(|| self.rng.gen_range(0..len))
     }
 
     /// A value size in `[lo, hi]` (Redis uses 240–492, microbenchmarks a
@@ -57,6 +68,103 @@ impl KeyGen {
     /// Raw u64 from the stream.
     pub fn raw(&mut self) -> u64 {
         self.rng.gen()
+    }
+}
+
+/// Keys per block of [`LiveKeys`]' rank index; a block that grows past it
+/// splits in half.
+const RANK_BLOCK: usize = 512;
+
+/// A live-key set with rank selection: the `BTreeSet` hooks and
+/// validators read, plus a sorted, blocked copy of the same keys that
+/// finds the `idx`-th smallest key by skipping whole blocks (O(√n) at the
+/// driver's set sizes, where `BTreeSet::iter().nth` walks `idx` keys).
+#[derive(Debug, Default)]
+pub struct LiveKeys {
+    set: BTreeSet<u64>,
+    /// Non-empty sorted blocks of at most [`RANK_BLOCK`] keys whose
+    /// concatenation is `set` in order.
+    blocks: Vec<Vec<u64>>,
+}
+
+impl LiveKeys {
+    /// An empty set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.set.len()
+    }
+
+    /// Whether the set holds no keys.
+    pub fn is_empty(&self) -> bool {
+        self.set.is_empty()
+    }
+
+    /// The keys as a `BTreeSet`.
+    pub fn as_set(&self) -> &BTreeSet<u64> {
+        &self.set
+    }
+
+    /// The keys as a `BTreeSet`, dropping the rank index.
+    pub fn into_set(self) -> BTreeSet<u64> {
+        self.set
+    }
+
+    /// Index of the block that holds, or would hold, `key`.
+    fn block_of(&self, key: u64) -> usize {
+        let b = self
+            .blocks
+            .partition_point(|blk| *blk.last().expect("blocks are non-empty") < key);
+        b.min(self.blocks.len().saturating_sub(1))
+    }
+
+    /// Adds `key`; returns whether it was absent.
+    pub fn insert(&mut self, key: u64) -> bool {
+        if !self.set.insert(key) {
+            return false;
+        }
+        if self.blocks.is_empty() {
+            self.blocks.push(vec![key]);
+            return true;
+        }
+        let b = self.block_of(key);
+        let blk = &mut self.blocks[b];
+        let at = blk.partition_point(|&k| k < key);
+        blk.insert(at, key);
+        if blk.len() > RANK_BLOCK {
+            let upper = blk.split_off(blk.len() / 2);
+            self.blocks.insert(b + 1, upper);
+        }
+        true
+    }
+
+    /// Removes `key`; returns whether it was present.
+    pub fn remove(&mut self, key: &u64) -> bool {
+        if !self.set.remove(key) {
+            return false;
+        }
+        let b = self.block_of(*key);
+        let blk = &mut self.blocks[b];
+        let at = blk.binary_search(key).expect("blocks mirror the set");
+        blk.remove(at);
+        if blk.is_empty() {
+            self.blocks.remove(b);
+        }
+        true
+    }
+
+    /// The `idx`-th smallest key (0-based), as `as_set().iter().nth(idx)`.
+    pub fn nth(&self, mut idx: usize) -> Option<u64> {
+        for blk in &self.blocks {
+            if idx < blk.len() {
+                return Some(blk[idx]);
+            }
+            idx -= blk.len();
+        }
+        None
     }
 }
 
@@ -84,7 +192,7 @@ pub fn value_matches(key: u64, buf: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
+    use proptest::prelude::*;
 
     #[test]
     fn fresh_keys_are_unique() {
@@ -112,6 +220,83 @@ mod tests {
             assert!(live.contains(&k));
         }
         assert_eq!(g.pick(&BTreeSet::new()), None);
+    }
+
+    #[test]
+    fn live_keys_splits_and_drains() {
+        let mut live = LiveKeys::new();
+        let n = 3 * RANK_BLOCK as u64;
+        for k in (0..n).rev() {
+            assert!(live.insert(k * 2));
+        }
+        assert!(!live.insert(0));
+        assert!(live.blocks.len() > 2);
+        assert_eq!(live.nth(0), Some(0));
+        assert_eq!(live.nth(n as usize - 1), Some((n - 1) * 2));
+        assert_eq!(live.nth(n as usize), None);
+        assert!(!live.remove(&1));
+        for k in 0..n {
+            assert!(live.remove(&(k * 2)));
+        }
+        assert!(live.is_empty());
+        assert!(live.blocks.is_empty());
+        assert_eq!(live.nth(0), None);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Rank selection agrees with `BTreeSet::iter().nth` under any
+        /// mix of inserts and removes, and the blocks stay well formed.
+        #[test]
+        fn live_keys_nth_matches_btreeset(
+            ops in proptest::collection::vec((any::<bool>(), 0u64..4096), 1..3000),
+        ) {
+            let mut live = LiveKeys::new();
+            let mut reference = BTreeSet::new();
+            for &(insert, key) in &ops {
+                if insert {
+                    prop_assert_eq!(live.insert(key), reference.insert(key));
+                } else {
+                    prop_assert_eq!(live.remove(&key), reference.remove(&key));
+                }
+            }
+            prop_assert_eq!(live.as_set(), &reference);
+            prop_assert!(live.blocks.iter().all(|b| !b.is_empty() && b.len() <= RANK_BLOCK));
+            let flat: Vec<u64> = live.blocks.concat();
+            let expect: Vec<u64> = reference.iter().copied().collect();
+            prop_assert_eq!(flat, expect);
+            for idx in 0..=reference.len() {
+                prop_assert_eq!(live.nth(idx), reference.iter().nth(idx).copied());
+            }
+        }
+
+        /// The same seed yields the same delete picks over a `LiveKeys` as
+        /// over a `BTreeSet`, through a driver-shaped insert/delete mix.
+        #[test]
+        fn pick_live_matches_pick(seed in any::<u64>(), ops in 1usize..4000) {
+            let mut a = KeyGen::new(seed);
+            let mut b = KeyGen::new(seed);
+            let mut live = LiveKeys::new();
+            let mut reference = BTreeSet::new();
+            for op in 0..ops {
+                let insert = (op / 300) % 2 == 0 || reference.is_empty();
+                if insert {
+                    let (ka, kb) = (a.fresh(), b.fresh());
+                    prop_assert_eq!(ka, kb);
+                    live.insert(ka);
+                    reference.insert(kb);
+                } else {
+                    let (ka, kb) = (a.pick_live(&live), b.pick(&reference));
+                    prop_assert_eq!(ka, kb);
+                    let k = ka.expect("non-empty");
+                    live.remove(&k);
+                    reference.remove(&k);
+                }
+            }
+            prop_assert_eq!(a.pick_live(&LiveKeys::new()), None);
+            prop_assert_eq!(a.raw(), b.raw());
+        }
     }
 
     #[test]
